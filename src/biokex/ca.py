@@ -282,13 +282,17 @@ class CaRegistry:
     Enrollments are serialized by contract (one writer); verification needs
     only the public key and never touches the registry. When a record path
     is configured each enrollment appends one audit line:
-    "<user_id> <hex pub fingerprint> <timestamp>".
+    "<user_id> <hex pub fingerprint> <timestamp>", and a registry opened on
+    an existing audit file starts with the ids it lists.
     """
 
     def __init__(self, ca_keypair: RsaKeyPair, record_path: str | Path | None = None):
         self.ca_keypair = ca_keypair
-        self.enrolled: dict[str, tuple[bytes, int]] = {}
+        self.enrolled: set[str] = set()
         self.record_path = Path(record_path) if record_path is not None else None
+        if self.record_path is not None and self.record_path.exists():
+            lines = self.record_path.read_text(encoding="utf-8").splitlines()
+            self.enrolled.update(line.split()[0] for line in lines if line.strip())
 
     @property
     def public_key(self) -> rsa.RSAPublicKey:
@@ -308,7 +312,7 @@ class CaRegistry:
         )
         cert = Certificate(identity, user_public_der, digest, signature)
 
-        self.enrolled[identity.user_id] = (user_public_der, timestamp)
+        self.enrolled.add(identity.user_id)
         if self.record_path is not None:
             line = f"{identity.user_id} {cert.public_fingerprint} {timestamp}\n"
             with self.record_path.open("a", encoding="utf-8") as fh:

@@ -122,10 +122,6 @@ def _cmd_enroll(args) -> int:
         print(f"error: no CA key at {key_path}; run ca-init first", file=sys.stderr)
         return EXIT_DATA
     registry = CaRegistry(RsaKeyPair.load_private(key_path), args.ca_dir / "registry.txt")
-    # re-seat already-enrolled ids so duplicates are refused across invocations
-    for line in (args.ca_dir / "registry.txt").read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            registry.enrolled[line.split()[0]] = (b"", 0)
     user_seed = int(np.random.SeedSequence(
         [args.seed, int.from_bytes(hashlib.sha256(args.user_id.encode()).digest()[:4], "big")]
     ).generate_state(1, np.uint64)[0])
@@ -159,8 +155,9 @@ def _cmd_session(args) -> int:
     else:
         print(text, end="")
     if args.transcript_out:
-        hex_lines = [f"{d} {f.hex()}" for d, f in outcome.transcript]
-        args.transcript_out.write_text("\n".join(hex_lines) + "\n", encoding="utf-8")
+        args.transcript_out.write_text(
+            netsim.format_transcript(outcome.transcript), encoding="utf-8"
+        )
     return EXIT_OK if outcome.established else EXIT_PROTOCOL
 
 

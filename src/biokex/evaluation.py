@@ -44,12 +44,9 @@ __all__ = [
     "bit_array",
     "fvc_pairings",
     "template_similarity_scores",
-    "genuine_template_similarity_study",
     "session_key_sample",
     "pairwise_key_hamming",
-    "impostor_key_study",
     "revocability_fractions",
-    "revocability_study",
     "shannon_entropy",
     "compute_roc",
     "eer",
@@ -165,14 +162,13 @@ def _packed_templates(
     cfg: QuantizationConfig,
     tkey: TransformationKey,
 ) -> list[list[np.ndarray]]:
-    """Per-impression revocable-template bits packed into uint64 words."""
+    """Per-impression revocable-template bits packed into bytes, MSB first."""
     packed = []
     for impressions in dataset:
         row = []
         for mset in impressions:
             bits = revocable_template(mset, cfg, tkey).bits
-            words = np.packbits(bits, bitorder="big")
-            row.append(words.view(np.uint8))
+            row.append(np.packbits(bits, bitorder="big"))
         packed.append(row)
     return packed
 
@@ -202,17 +198,6 @@ def template_similarity_scores(
         [_matching_fraction(packed[si][0], packed[sj][0], nbits) for si, sj in pairs.impostor]
     )
     return ScoreSet(genuine, impostor)
-
-
-def genuine_template_similarity_study(
-    dataset: Sequence[Sequence[MinutiaeSet]],
-    cfg: QuantizationConfig | None = None,
-    tkey: TransformationKey | None = None,
-) -> DistributionSummary:
-    """Distribution of genuine-pair template similarity (matching-bit fraction)."""
-    return DistributionSummary.from_samples(
-        template_similarity_scores(dataset, cfg, tkey).genuine
-    )
 
 
 def session_key_sample(
@@ -257,18 +242,6 @@ def pairwise_key_hamming(keys: Sequence[bytes]) -> np.ndarray:
     return np.concatenate(fractions)
 
 
-def impostor_key_study(
-    dataset: Sequence[Sequence[MinutiaeSet]],
-    cfg: QuantizationConfig | None = None,
-    *,
-    group: DhGroup = RFC3526_2048,
-    seed: int = 0,
-) -> DistributionSummary:
-    """Hamming distribution between session keys of distinct impostor pairings."""
-    keys = session_key_sample(dataset, cfg, group=group, seed=seed)
-    return DistributionSummary.from_samples(pairwise_key_hamming(keys))
-
-
 def revocability_fractions(
     dataset: Sequence[Sequence[MinutiaeSet]],
     n_keys: int = 30,
@@ -297,19 +270,6 @@ def revocability_fractions(
             ).sum())
             fractions.append(diff / 256.0)
     return np.array(fractions)
-
-
-def revocability_study(
-    dataset: Sequence[Sequence[MinutiaeSet]],
-    n_keys: int = 30,
-    cfg: QuantizationConfig | None = None,
-    *,
-    seed: int = 0,
-) -> DistributionSummary:
-    """Hamming distribution of one subject's private keys across fresh keys."""
-    return DistributionSummary.from_samples(
-        revocability_fractions(dataset, n_keys, cfg, seed=seed)
-    )
 
 
 def shannon_entropy(samples: bytes) -> float:

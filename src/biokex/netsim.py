@@ -10,10 +10,10 @@ Adversary modes:
 * passive: records every frame, alters nothing.
 * mitm: substitutes its own certificate (signed by a rogue authority)
   for each certificate frame.
-* replay: captures one session and re-injects its ciphertext into the
-  next session between the same parties.
-* host-compromise: obtains the session key of one chosen session, as if
-  that host's memory were dumped mid-session.
+* replay: captures one session's ciphertext and tries to open it under the
+  key of the next session between the same parties.
+* host-compromise: captures three sessions and obtains the key of the
+  middle one, as if that host's memory were dumped mid-session.
 
 "Attacker learned X" is operationalized as: the bytes of X occur in the
 adversary's stored state. That is a falsifiable predicate, not an
@@ -40,7 +40,6 @@ from .features import QuantizationConfig
 from .keyagree import DhGroup, RFC3526_2048
 from .minutiae import MinutiaeSet, synthesize_subject
 from .protocol import (
-    MSG_ABORT,
     MSG_CERT,
     MSG_DATA,
     AbortReason,
@@ -63,6 +62,7 @@ __all__ = [
     "Scenario",
     "ScenarioRecord",
     "SimulationError",
+    "format_transcript",
     "make_environment",
     "make_enrolled_party",
     "run_session",
@@ -112,6 +112,11 @@ class AdversaryPolicy:
         return material in self.state_blob()
 
 
+def format_transcript(transcript: list[tuple[str, bytes]]) -> str:
+    """Newline-delimited ``"<direction> <hex frame>"`` records, one per frame."""
+    return "\n".join(f"{d} {f.hex()}" for d, f in transcript) + "\n"
+
+
 class Channel:
     """Lossless in-order per-direction queues with adversary interception."""
 
@@ -133,10 +138,6 @@ class Channel:
             frame = self.adversary.intercept(direction, frame)
         self.delivered_log.append((direction, frame))
         return WireMessage.decode(frame)
-
-    def export_transcript(self) -> str:
-        """Newline-delimited hex records, one delivered frame per line."""
-        return "\n".join(f"{d} {f.hex()}" for d, f in self.delivered_log) + "\n"
 
 
 @dataclass
@@ -178,6 +179,19 @@ class SessionRecord:
                 out.append((direction, msg.payload))
         return out
 
+    def frames_opened_by(self, key: bytes) -> int:
+        """How many of this session's data frames authenticate under ``key``."""
+        aead = AESGCM(key)
+        opened = 0
+        for _, payload in self.data_frames():
+            sealed = SealedMessage.decode(payload)
+            try:
+                aead.decrypt(sealed.nonce, sealed.ciphertext_and_tag, None)
+                opened += 1
+            except InvalidTag:
+                pass
+        return opened
+
 
 def make_environment(seed: int, record_path: str | Path | None = None) -> CaRegistry:
     """CA with a deterministic key pair derived from the seed."""
@@ -206,30 +220,9 @@ def make_enrolled_party(
     return PartyConfig(identity, keypair, certificate, fingerprint)
 
 
-def _finish(
-    outcome_established: bool,
-    adversary: AdversaryPolicy | None,
-    failure: AbortReason | None,
-    session_id: int,
-    channel: Channel,
-    record: SessionRecord | None = None,
-    plaintexts: tuple = (),
-) -> SessionOutcome:
-    learned_key = False
-    learned_plain = False
-    if adversary is not None:
-        if record is not None:
-            learned_key = adversary.knows(record.key)
-        learned_plain = any(adversary.knows(p) for _, p in plaintexts)
-    return SessionOutcome(
-        established=outcome_established,
-        attacker_learned_key=learned_key,
-        attacker_learned_plaintext=learned_plain,
-        failure_reason=failure,
-        session_id=session_id,
-        record=record,
-        transcript=list(channel.delivered_log),
-    )
+def _raise_if_failed(endpoint: SessionEndpoint) -> None:
+    if endpoint.state.phase is Phase.FAILED:
+        raise HandshakeAborted(endpoint.state.abort_reason)
 
 
 def run_session(
@@ -243,13 +236,13 @@ def run_session(
     cfg: QuantizationConfig | None = None,
     group: DhGroup = RFC3526_2048,
     plaintexts: tuple = _DEFAULT_PLAINTEXTS,
-    keep_key: bool = True,
 ) -> SessionOutcome:
     """Drive one full session between two enrolled parties.
 
     Fresh transformation keys are drawn per party from the session seed, so
     re-running the same parties under a new seed or session id yields
-    unrelated key material.
+    unrelated key material. The session is established exactly when it
+    yields a record; both endpoints are closed however it ends.
     """
     for party in (a, b):
         try:
@@ -270,62 +263,55 @@ def run_session(
         transform_key=TransformationKey.random(rng, label=f"session-{session_id}-b"),
     )
     channel = Channel(adversary)
-
-    def fail(reason: AbortReason | None) -> SessionOutcome:
-        ep_a.close()
-        ep_b.close()
-        return _finish(False, adversary, reason, session_id, channel, None, plaintexts)
-
-    # certificates first
-    channel.send("a->b", ep_a.initiate())
-    reply = ep_b.on_peer_certificate(channel.deliver("a->b"))
-    if ep_b.state.phase is Phase.FAILED:
-        channel.send("b->a", reply)
-        channel.deliver("b->a")
-        return fail(ep_b.state.abort_reason)
-    channel.send("b->a", reply)
-    out = ep_a.on_peer_certificate(channel.deliver("b->a"))
-    if ep_a.state.phase is Phase.FAILED:
-        channel.send("a->b", out)
-        channel.deliver("a->b")
-        return fail(ep_a.state.abort_reason)
-
-    # DH public values
-    msg_a = ep_a.exchange_dh()
-    if msg_a.msg_type == MSG_ABORT:
-        return fail(ep_a.state.abort_reason)
-    msg_b = ep_b.exchange_dh()
-    if msg_b.msg_type == MSG_ABORT:
-        return fail(ep_b.state.abort_reason)
-    channel.send("a->b", msg_a)
-    channel.send("b->a", msg_b)
+    record: SessionRecord | None = None
+    failure: AbortReason | None = None
     try:
+        # certificates first; a failing side's abort frame is still delivered
+        channel.send("a->b", ep_a.initiate())
+        channel.send("b->a", ep_b.on_peer_certificate(channel.deliver("a->b")))
+        reply = channel.deliver("b->a")
+        _raise_if_failed(ep_b)
+        out = ep_a.on_peer_certificate(reply)
+        if out is not None:  # the initiator answers a certificate only to abort
+            channel.send("a->b", out)
+            channel.deliver("a->b")
+        _raise_if_failed(ep_a)
+
+        # DH public values
+        msg_a = ep_a.exchange_dh()
+        _raise_if_failed(ep_a)
+        msg_b = ep_b.exchange_dh()
+        _raise_if_failed(ep_b)
+        channel.send("a->b", msg_a)
+        channel.send("b->a", msg_b)
         sk_b = ep_b.establish(channel.deliver("a->b"))
         sk_a = ep_a.establish(channel.deliver("b->a"))
+
+        # scripted traffic
+        if sk_a.key == sk_b.key:
+            delivered: list[tuple[str, bytes]] = []
+            for direction, plaintext in plaintexts:
+                sender, receiver = (ep_a, ep_b) if direction == "a->b" else (ep_b, ep_a)
+                channel.send(direction, sender.seal_message(plaintext))
+                delivered.append((direction, receiver.open_message(channel.deliver(direction))))
+            record = SessionRecord(session_id, sk_a.key, list(channel.delivered_log), delivered)
     except HandshakeAborted as exc:
-        return fail(exc.reason)
-    if sk_a.key != sk_b.key:
-        return fail(None)
+        failure = exc.reason
+    finally:
+        ep_a.close()
+        ep_b.close()
 
-    # scripted traffic
-    delivered_plain: list[tuple[str, bytes]] = []
-    for direction, plaintext in plaintexts:
-        sender, receiver = (ep_a, ep_b) if direction == "a->b" else (ep_b, ep_a)
-        channel.send(direction, sender.seal_message(plaintext))
-        got = receiver.open_message(channel.deliver(direction))
-        delivered_plain.append((direction, got))
-
-    record = SessionRecord(
+    # one state snapshot answers every "attacker learned" question
+    blob = adversary.state_blob() if adversary is not None else None
+    return SessionOutcome(
+        established=record is not None,
+        attacker_learned_key=blob is not None and record is not None and record.key in blob,
+        attacker_learned_plaintext=blob is not None and any(p in blob for _, p in plaintexts),
+        failure_reason=failure,
         session_id=session_id,
-        key=sk_a.key if keep_key else b"",
+        record=record,
         transcript=list(channel.delivered_log),
-        plaintexts=delivered_plain,
     )
-    if adversary is not None and adversary.mode is AdversaryMode.HOST_COMPROMISE:
-        adversary.stolen.append(sk_a.key)
-    ep_a.close()
-    ep_b.close()
-    return _finish(True, adversary, None, session_id, channel, record, plaintexts)
 
 
 def host_compromise_probe(
@@ -345,20 +331,10 @@ def host_compromise_probe(
             f"compromised index {compromised_session} out of range 0..{len(session_history) - 1}"
         )
     key = session_history[compromised_session].key
-    aead = AESGCM(key)
-    success: list[bool] = []
-    for record in session_history:
-        frames = record.data_frames()
-        opened = 0
-        for _, payload in frames:
-            sealed = SealedMessage.decode(payload)
-            try:
-                aead.decrypt(sealed.nonce, sealed.ciphertext_and_tag, None)
-                opened += 1
-            except InvalidTag:
-                pass
-        success.append(bool(frames) and opened == len(frames))
-    return ExposureReport(compromised_session, success)
+    return ExposureReport(compromised_session, [
+        0 < record.frames_opened_by(key) == len(record.data_frames())
+        for record in session_history
+    ])
 
 
 @dataclass
@@ -395,10 +371,7 @@ class ScenarioRecord:
         return [f"{name}={value}" for name, value in self.assertions]
 
     def get(self, name: str) -> str:
-        for key, value in self.assertions:
-            if key == name:
-                return value
-        raise KeyError(name)
+        return dict(self.assertions)[name]
 
 
 def load_scenario(text: str) -> Scenario:
@@ -408,7 +381,7 @@ def load_scenario(text: str) -> Scenario:
     ``message <a->b|b->a> <text>``, ``seed <int>``; ``#`` comments ignored.
     """
     mode: AdversaryMode | None = None
-    party_a, party_b = "alice", "bob"
+    parties = {"a": "alice", "b": "bob"}
     messages: list[tuple[str, bytes]] = []
     seed = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -423,12 +396,9 @@ def load_scenario(text: str) -> Scenario:
             except ValueError:
                 raise SimulationError(f"line {lineno}: unknown adversary mode {fields[1]!r}") from None
         elif kind == "party" and len(fields) == 3:
-            if fields[1] == "a":
-                party_a = fields[2]
-            elif fields[1] == "b":
-                party_b = fields[2]
-            else:
+            if fields[1] not in parties:
                 raise SimulationError(f"line {lineno}: party must be 'a' or 'b'")
+            parties[fields[1]] = fields[2]
         elif kind == "message" and len(fields) == 3:
             if fields[1] not in ("a->b", "b->a"):
                 raise SimulationError(f"line {lineno}: direction must be a->b or b->a")
@@ -440,7 +410,7 @@ def load_scenario(text: str) -> Scenario:
     if mode is None:
         raise SimulationError("scenario missing 'adversary <mode>' line")
     return Scenario(
-        mode, party_a, party_b, tuple(messages) or _DEFAULT_PLAINTEXTS, seed
+        mode, parties["a"], parties["b"], tuple(messages) or _DEFAULT_PLAINTEXTS, seed
     )
 
 
@@ -448,99 +418,63 @@ def _bool(v: bool) -> str:
     return "true" if v else "false"
 
 
+_SESSIONS_PER_SCENARIO = {AdversaryMode.REPLAY: 2, AdversaryMode.HOST_COMPROMISE: 3}
+_COMPROMISED_SESSION = 1
+
+
 def run_scenario(scenario: Scenario) -> ScenarioRecord:
-    """Execute one adversary scenario end to end and emit its assertion record."""
+    """Execute one adversary scenario end to end and emit its assertion record.
+
+    Passive and mitm run one session, replay two and host-compromise three,
+    all against one adversary. The record is ``scenario, established, <mode
+    rows>, attacker_learned_key, attacker_learned_plaintext, failure_reason``,
+    each value computed from those sessions and that adversary's state.
+    """
     registry = make_environment(scenario.seed)
     a = make_enrolled_party(registry, scenario.party_a, scenario.seed + 1)
     b = make_enrolled_party(registry, scenario.party_b, scenario.seed + 2)
-    ca_pub = registry.public_key
-    rows: list[tuple[str, str]] = [("scenario", scenario.mode.value)]
-
-    if scenario.mode is AdversaryMode.PASSIVE:
-        adversary = AdversaryPolicy(AdversaryMode.PASSIVE)
-        outcome = run_session(
-            a, b, adversary, ca_public_key=ca_pub, seed=scenario.seed,
-            session_id=1, plaintexts=scenario.messages,
-        )
-        rows += [
-            ("established", _bool(outcome.established)),
-            ("attacker_learned_key", _bool(outcome.attacker_learned_key)),
-            ("attacker_learned_plaintext", _bool(outcome.attacker_learned_plaintext)),
-            ("failure_reason", "none" if outcome.failure_reason is None else outcome.failure_reason.label),
-        ]
-
-    elif scenario.mode is AdversaryMode.MITM:
+    adversary = AdversaryPolicy(scenario.mode)
+    if scenario.mode is AdversaryMode.MITM:
         rogue = CaRegistry(RsaKeyPair.generate(
             int(np.random.SeedSequence([scenario.seed, 0xBAD]).generate_state(1, np.uint64)[0])
         ))
-        mallory = make_enrolled_party(rogue, "mallory", scenario.seed + 3)
-        adversary = AdversaryPolicy(AdversaryMode.MITM, attacker_certificate=mallory.certificate)
-        outcome = run_session(
-            a, b, adversary, ca_public_key=ca_pub, seed=scenario.seed,
-            session_id=1, plaintexts=scenario.messages,
-        )
-        rows += [
-            ("established", _bool(outcome.established)),
-            ("failure_reason", "none" if outcome.failure_reason is None else outcome.failure_reason.label),
-            ("attacker_learned_key", _bool(outcome.attacker_learned_key)),
-            ("attacker_learned_plaintext", _bool(outcome.attacker_learned_plaintext)),
-        ]
+        adversary.attacker_certificate = make_enrolled_party(
+            rogue, "mallory", scenario.seed + 3
+        ).certificate
 
-    elif scenario.mode is AdversaryMode.REPLAY:
-        adversary = AdversaryPolicy(AdversaryMode.REPLAY)
-        first = run_session(
-            a, b, adversary, ca_public_key=ca_pub, seed=scenario.seed,
-            session_id=1, plaintexts=scenario.messages,
+    outcomes = [
+        run_session(
+            a, b, adversary, ca_public_key=registry.public_key, seed=scenario.seed,
+            session_id=sid, plaintexts=scenario.messages,
         )
-        second = run_session(
-            a, b, adversary, ca_public_key=ca_pub, seed=scenario.seed,
-            session_id=2, plaintexts=scenario.messages,
-        )
-        # captured ciphertext from session 1 fails under session 2's key
-        aead = AESGCM(second.record.key)
-        cross_rejected = True
-        for _, payload in first.record.data_frames():
-            sealed = SealedMessage.decode(payload)
-            try:
-                aead.decrypt(sealed.nonce, sealed.ciphertext_and_tag, None)
-                cross_rejected = False
-            except InvalidTag:
-                pass
-        keys_differ = first.record.key != second.record.key
-        rows += [
-            ("established", _bool(first.established and second.established)),
-            ("session_keys_differ", _bool(keys_differ)),
-            ("replayed_ciphertext_rejected", _bool(cross_rejected)),
-            ("attacker_learned_key", _bool(
-                adversary.knows(first.record.key) or adversary.knows(second.record.key)
-            )),
-            ("attacker_learned_plaintext", _bool(
-                any(adversary.knows(p) for _, p in scenario.messages)
-            )),
-            ("failure_reason", "none"),
-        ]
+        for sid in range(1, _SESSIONS_PER_SCENARIO.get(scenario.mode, 1) + 1)
+    ]
+    records = [o.record for o in outcomes if o.record is not None]
 
-    else:  # host compromise
-        adversary = AdversaryPolicy(AdversaryMode.PASSIVE)
-        history: list[SessionRecord] = []
-        for sid in (1, 2, 3):
-            outcome = run_session(
-                a, b, adversary, ca_public_key=ca_pub, seed=scenario.seed,
-                session_id=sid, plaintexts=scenario.messages,
-            )
-            history.append(outcome.record)
-        compromised = 1
-        thief = AdversaryPolicy(AdversaryMode.HOST_COMPROMISE)
-        thief.stolen.append(history[compromised].key)
-        report = host_compromise_probe(history, compromised)
-        rows += [
-            ("established", "true"),
-            ("sessions", str(len(history))),
-            ("compromised", str(compromised)),
+    mode_rows: list[tuple[str, str]] = []
+    if scenario.mode is AdversaryMode.REPLAY:
+        first, second = records
+        mode_rows = [
+            ("session_keys_differ", _bool(first.key != second.key)),
+            ("replayed_ciphertext_rejected", _bool(first.frames_opened_by(second.key) == 0)),
+        ]
+    elif scenario.mode is AdversaryMode.HOST_COMPROMISE:
+        adversary.stolen.append(records[_COMPROMISED_SESSION].key)
+        report = host_compromise_probe(records, _COMPROMISED_SESSION)
+        mode_rows = [
+            ("sessions", str(len(records))),
+            ("compromised", str(_COMPROMISED_SESSION)),
             ("decrypts_only_own_session", _bool(report.exposes_only_compromised)),
-            ("attacker_learned_key", _bool(thief.knows(history[compromised].key))),
-            ("attacker_learned_plaintext", "false"),
-            ("failure_reason", "none"),
         ]
 
-    return ScenarioRecord(rows)
+    failure = next((o.failure_reason for o in outcomes if o.failure_reason is not None), None)
+    return ScenarioRecord([
+        ("scenario", scenario.mode.value),
+        ("established", _bool(all(o.established for o in outcomes))),
+        *mode_rows,
+        ("attacker_learned_key", _bool(any(adversary.knows(r.key) for r in records))),
+        ("attacker_learned_plaintext", _bool(
+            any(adversary.knows(p) for _, p in scenario.messages)
+        )),
+        ("failure_reason", "none" if failure is None else failure.label),
+    ])

@@ -1,10 +1,15 @@
 """Two-party session handshake and authenticated messaging.
 
-Order of play: certificates are exchanged and verified first (this is what
-defeats an interposed attacker), then each side derives a fresh DH key pair
-from its fingerprint under a per-session transformation key and exchanges
-the 256-byte public value, then both compute the same 256-bit session key.
-Data flows under AES-256-GCM with counter nonces.
+Order of play: certificates are exchanged and verified first, so a
+certificate substituted by an interposed attacker is refused; then each
+side derives a fresh DH key pair from its fingerprint under a per-session
+transformation key and exchanges the 256-byte public value, then both
+compute the same 256-bit session key. Data flows under AES-256-GCM with
+counter nonces.
+
+The DH public values are not signed: nothing binds them to the verified
+certificates, so a relay that forwards the genuine certificates and swaps
+the DH values is not detected.
 
 Fresh transformation keys per session are the point: the DH exponent is a
 deterministic function of (fingerprint, transformation key), so reusing a
@@ -26,8 +31,6 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -200,7 +203,6 @@ class SessionEndpoint:
         group: DhGroup = RFC3526_2048,
         cfg: QuantizationConfig | None = None,
         transform_key: TransformationKey | None = None,
-        rng: np.random.Generator | None = None,
     ):
         self.certificate = certificate
         self.fingerprint = fingerprint
@@ -212,7 +214,7 @@ class SessionEndpoint:
         self.transform_key = (
             transform_key
             if transform_key is not None
-            else TransformationKey.random(rng, label=f"session-{session_id}")
+            else TransformationKey.random(label=f"session-{session_id}")
         )
         self.state = HandshakeState()
         self.zeroize_count = 0

@@ -132,6 +132,16 @@ def test_registry_audit_lines(tmp_path):
     assert lines[1].startswith("u2 ") and lines[1].endswith(" 456")
 
 
+def test_registry_reloads_audit_file(ca, user_keys, tmp_path):
+    path = tmp_path / "registry.txt"
+    path.write_text("erin 00ff 1\n\n", encoding="utf-8")
+    registry = CaRegistry(ca.ca_keypair, record_path=path)
+    assert registry.enrolled == {"erin"}
+    with pytest.raises(EnrollmentConflictError):
+        registry.enroll(Identity("erin"), user_keys.public_der, now=1)
+    assert path.read_text(encoding="utf-8") == "erin 00ff 1\n\n"
+
+
 def test_identity_limits():
     with pytest.raises(CaError):
         Identity("")

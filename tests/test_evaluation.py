@@ -12,9 +12,7 @@ from biokex.evaluation import (
     compute_roc,
     eer,
     fvc_pairings,
-    genuine_template_similarity_study,
     hamming_fraction,
-    impostor_key_study,
     pairwise_key_hamming,
     revocability_fractions,
     session_key_sample,
@@ -189,7 +187,9 @@ def test_identical_impressions_have_similarity_one(cfg12):
 def test_genuine_scores_exceed_impostor(small_dataset, cfg12):
     scores = template_similarity_scores(small_dataset, cfg12)
     assert scores.genuine.mean() > scores.impostor.mean() + 0.05
-    summary = genuine_template_similarity_study(small_dataset, cfg12)
+    summary = DistributionSummary.from_samples(
+        template_similarity_scores(small_dataset, cfg12).genuine
+    )
     assert summary.mean == pytest.approx(scores.genuine.mean())
 
 
@@ -203,7 +203,9 @@ def test_template_study_needs_two_impressions(cfg12):
 
 def test_impostor_key_study_near_half(cfg12):
     ds = synthesize_dataset(40, 1, PerturbationProfile(), n_minutiae=12, seed=8)
-    summary = impostor_key_study(ds, cfg12, seed=8)
+    summary = DistributionSummary.from_samples(
+        pairwise_key_hamming(session_key_sample(ds, cfg12, seed=8))
+    )
     assert summary.count == 190  # C(20, 2)
     assert 0.46 <= summary.mean <= 0.54
 

@@ -8,6 +8,7 @@ from biokex.netsim import (
     Channel,
     Scenario,
     SimulationError,
+    format_transcript,
     host_compromise_probe,
     load_scenario,
     make_enrolled_party,
@@ -129,9 +130,7 @@ def test_channel_requires_queued_message():
 
 def test_transcript_export_format(ca_env):
     outcome = _passive_outcome(ca_env, None, seed=90)
-    channel = Channel()
-    channel.delivered_log = outcome.transcript
-    text = channel.export_transcript()
+    text = format_transcript(outcome.transcript)
     lines = text.strip().split("\n")
     assert len(lines) == len(outcome.transcript)
     direction, hexframe = lines[0].split()
@@ -191,6 +190,50 @@ def test_scenario_records():
     lines = mitm.to_lines()
     assert all("=" in line for line in lines)
     assert lines[0] == "scenario=mitm"
+
+
+SCENARIO_LINES_SEED_1 = {
+    AdversaryMode.PASSIVE: [
+        "scenario=passive",
+        "established=true",
+        "attacker_learned_key=false",
+        "attacker_learned_plaintext=false",
+        "failure_reason=none",
+    ],
+    AdversaryMode.MITM: [
+        "scenario=mitm",
+        "established=false",
+        "attacker_learned_key=false",
+        "attacker_learned_plaintext=false",
+        "failure_reason=certificate-verification",
+    ],
+    AdversaryMode.REPLAY: [
+        "scenario=replay",
+        "established=true",
+        "session_keys_differ=true",
+        "replayed_ciphertext_rejected=true",
+        "attacker_learned_key=false",
+        "attacker_learned_plaintext=false",
+        "failure_reason=none",
+    ],
+    AdversaryMode.HOST_COMPROMISE: [
+        "scenario=host-compromise",
+        "established=true",
+        "sessions=3",
+        "compromised=1",
+        "decrypts_only_own_session=true",
+        "attacker_learned_key=true",
+        "attacker_learned_plaintext=false",
+        "failure_reason=none",
+    ],
+}
+
+
+@pytest.mark.parametrize("mode", list(AdversaryMode), ids=lambda m: m.value)
+def test_scenario_record_lines_pinned(mode):
+    # whole records in order: every mode shares one schema, and mode rows
+    # sit between "established" and the attacker/failure rows
+    assert run_scenario(Scenario(mode, seed=1)).to_lines() == SCENARIO_LINES_SEED_1[mode]
 
 
 def test_scenario_record_determinism():
