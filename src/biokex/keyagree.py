@@ -7,6 +7,12 @@ fixed-width 256-byte big-endian encoding, into the 32-byte session key.
 Fixed-width encoding matters: without it, implementations disagree on
 leading zero bytes and derive different keys from equal intermediates.
 
+Modular exponentiation takes one of two paths. In the RFC 3526 group it
+runs in OpenSSL, through the Diffie-Hellman primitive of ``cryptography``;
+every other group (the toy test group, custom group files) uses Python's
+``pow``, because OpenSSL refuses moduli under 512 bits and parameters it
+does not accept as a DH group. Both paths compute the same integers.
+
 All functions are pure and big-integer values immutable. No timing-channel
 resistance is claimed for the modular exponentiation.
 """
@@ -16,6 +22,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
+
+from cryptography.hazmat.primitives.asymmetric import dh
 
 from .transform import RevocableTemplate
 
@@ -78,6 +86,7 @@ class DhGroup:
 
 
 RFC3526_2048 = DhGroup(q=int(RFC3526_MODP_2048_HEX, 16), alpha=2)
+_RFC3526_PARAMS = dh.DHParameterNumbers(RFC3526_2048.q, RFC3526_2048.alpha)
 
 
 @dataclass(frozen=True)
@@ -145,9 +154,20 @@ def derive_private_key(template: RevocableTemplate) -> PrivateKey:
     return PrivateKey(_exponent_from_digest(digest))
 
 
+def _modexp(group: DhGroup, base: int, exponent: int) -> int:
+    """base**exponent mod q; OpenSSL in the RFC 3526 group, ``pow`` elsewhere."""
+    if group != RFC3526_2048:
+        return pow(base, exponent, group.q)
+    # OpenSSL's derive reads only the private exponent x, so the public value
+    # paired with it here is a placeholder (the generator)
+    prv = dh.DHPrivateNumbers(exponent, dh.DHPublicNumbers(group.alpha, _RFC3526_PARAMS))
+    peer = dh.DHPublicNumbers(base, _RFC3526_PARAMS).public_key()
+    return int.from_bytes(prv.private_key().exchange(peer), "big")
+
+
 def public_key(group: DhGroup, prv: PrivateKey) -> PublicKey:
-    """alpha**exponent mod q."""
-    return PublicKey(pow(group.alpha, prv.exponent, group.q))
+    """alpha**exponent mod q (the exchange with alpha as the peer value)."""
+    return PublicKey(_modexp(group, group.alpha, prv.exponent))
 
 
 def shared_secret(group: DhGroup, prv: PrivateKey, other_pub: PublicKey) -> int:
@@ -159,7 +179,7 @@ def shared_secret(group: DhGroup, prv: PrivateKey, other_pub: PublicKey) -> int:
     v = other_pub.value
     if v <= 1 or v >= group.q - 1:
         raise DegenerateKeyError(f"degenerate peer public value {v if v < 10 else 'q-1 or larger'}")
-    return pow(v, prv.exponent, group.q)
+    return _modexp(group, v, prv.exponent)
 
 
 def session_key(intermediate: int, session_id: int) -> SessionKey:

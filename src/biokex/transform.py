@@ -6,7 +6,10 @@ i = 1..N in order. The composition is a bijection on N-bit strings, so a
 leaked template is revoked by switching to a fresh key. The stream is a
 hash counter: index i is SHA-256(token || i as 8 big-endian bytes) reduced
 mod N, which keeps the permutation bit-exact across implementations and
-unbiased whenever N divides 2**256 (true for all power-of-two N).
+unbiased whenever N divides 2**256 (true for all power-of-two N). For
+power-of-two N the reduction mod N is exactly the low log2(N) bits of the
+digest, so the arrangement takes them from each digest's last big-endian
+32-bit word instead of reducing the 256-bit integer.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import secrets
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +35,7 @@ __all__ = [
 ]
 
 DEFAULT_TOKEN_LEN = 16
+_BLOCK = 4096
 
 
 class TransformError(ValueError):
@@ -106,6 +111,18 @@ class RevocableTemplate:
         return FeatureBitString(self.bits, self.n_p).serialize()
 
 
+def _digest_blocks(token: bytes, count: int) -> Iterator[bytes]:
+    """SHA-256(token || BE64(i)) for i = 1..count, in order.
+
+    Yields the digests concatenated in blocks of at most ``_BLOCK``, so only
+    one block's digest objects are alive at a time (this bounds peak memory).
+    """
+    sha256 = hashlib.sha256
+    for start in range(1, count + 1, _BLOCK):
+        counters = np.arange(start, min(start + _BLOCK, count + 1), dtype=">u8").tobytes()
+        yield b"".join([sha256(token + counters[k:k + 8]).digest() for k in range(0, len(counters), 8)])
+
+
 def index_stream(key: TransformationKey, n: int, count: int) -> list[int]:
     """First ``count`` values of the keyed index stream over [1, n].
 
@@ -116,12 +133,11 @@ def index_stream(key: TransformationKey, n: int, count: int) -> list[int]:
         raise TransformError(f"stream range n={n} must be >= 1")
     if count < 1:
         raise TransformError(f"stream count={count} must be >= 1")
-    token = key.token
-    out = []
-    for i in range(1, count + 1):
-        digest = hashlib.sha256(token + i.to_bytes(8, "big")).digest()
-        out.append(1 + int.from_bytes(digest, "big") % n)
-    return out
+    return [
+        1 + int.from_bytes(block[k:k + 32], "big") % n
+        for block in _digest_blocks(key.token, count)
+        for k in range(0, len(block), 32)
+    ]
 
 
 def _arrangement_from_stream(stream: list[int], n: int) -> np.ndarray:
@@ -136,13 +152,26 @@ def _arrangement_from_stream(stream: list[int], n: int) -> np.ndarray:
     arr = list(range(n))
     for i, j in enumerate(stream):
         arr[i], arr[j - 1] = arr[j - 1], arr[i]
-    return np.array(arr, dtype=np.int64)
+    return np.array(arr, dtype=np.int32)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=8)
 def _arrangement(token: bytes, n: int) -> np.ndarray:
-    key = TransformationKey(token, "cache")
-    arr = _arrangement_from_stream(index_stream(key, n, n), n)
+    """Read-only arrangement for ``index_stream`` over [1, n] with n values.
+
+    n must be a power of two, so that the digest's low bits are its value
+    mod n, and at most 2**31, so that every index fits int32.
+    """
+    if n < 1 or n & (n - 1) or n > 1 << 31:
+        raise TransformError(f"arrangement size {n} is not a power of two up to 2**31")
+    # masking copies each block's last words, so no digest block outlives its
+    # turn; dropping the array before the walk leaves its two lists as the peak
+    low = np.concatenate(
+        [np.frombuffer(block, dtype=">u4")[7::8] & (n - 1) for block in _digest_blocks(token, n)]
+    )
+    stream = (low + 1).tolist()
+    del low
+    arr = _arrangement_from_stream(stream, n)
     arr.setflags(write=False)
     return arr
 

@@ -86,6 +86,43 @@ def test_commutativity_random_pairs(rng):
         assert shared_secret(RFC3526_2048, a, yb) == shared_secret(RFC3526_2048, b, ya)
 
 
+def _modexp_exponents():
+    rng = np.random.default_rng(20240607)
+    randoms = [int.from_bytes(rng.bytes(32), "big") | 1 for _ in range(50)]
+    return [
+        pytest.param(1, id="one"),
+        pytest.param((1 << 256) - 1, id="max"),
+        *(pytest.param(x, id=f"random{k:02d}") for k, x in enumerate(randoms)),
+    ]
+
+
+@pytest.mark.parametrize("exponent", _modexp_exponents())
+def test_rfc3526_modexp_matches_pow(exponent):
+    q = RFC3526_2048.q
+    prv = PrivateKey(exponent)
+    peer = pow(3, exponent ^ 0x5A5A, q)
+    assert public_key(RFC3526_2048, prv).value == pow(2, exponent, q)
+    assert shared_secret(RFC3526_2048, prv, PublicKey(peer)) == pow(peer, exponent, q)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0, 1, RFC3526_2048.q - 1, RFC3526_2048.q],
+    ids=["0", "1", "q-1", "q"],
+)
+def test_rfc3526_degenerate_peers_rejected(value):
+    with pytest.raises(DegenerateKeyError):
+        shared_secret(RFC3526_2048, PrivateKey(97), PublicKey(value))
+
+
+def test_other_large_group_matches_pow(rng):
+    group = DhGroup(q=RFC3526_2048.q, alpha=5)
+    x = int.from_bytes(rng.bytes(32), "big") | 1
+    peer = pow(7, x, group.q)
+    assert public_key(group, PrivateKey(x)).value == pow(5, x, group.q)
+    assert shared_secret(group, PrivateKey(x), PublicKey(peer)) == pow(peer, x, group.q)
+
+
 @pytest.mark.parametrize("value", [0, 1])
 def test_degenerate_public_keys_rejected(value):
     with pytest.raises(DegenerateKeyError):

@@ -10,6 +10,7 @@ from biokex.transform import (
     RevocableTemplate,
     TransformationKey,
     TransformError,
+    _arrangement,
     _arrangement_from_stream,
     index_stream,
     invert,
@@ -22,6 +23,13 @@ KEY = TransformationKey(TOKEN, "unit")
 # frozen reference: SHA-256(token 00..0f || 0x0000000000000001) mod 2**15,
 # computed independently with hashlib at test-writing time
 FIRST_INDEX_32768 = 12859
+
+# frozen reference: SHA-256 of _arrangement(TOKEN, n) as little-endian int64,
+# computed with the per-index big-integer stream and the swap walk
+ARRANGEMENT_SHA256 = {
+    1 << 12: "ce65d20e5d2c5dd7968b3bbd1fabf23c74a77e18372018b87b8ea570d71aa291",
+    1 << 15: "40463825cc64e0695373145c127548a9fa5f1c171afd2a21809d4be715cace8a",
+}
 
 
 def _random_fbs(rng, n_p=15, density=0.5):
@@ -40,6 +48,14 @@ def test_index_stream_frozen_reference():
     assert stream[0] == 1 + int.from_bytes(digest, "big") % (1 << 15)
 
 
+def test_index_stream_crosses_digest_blocks():
+    # values on both sides of the 4096-counter hashing block boundary
+    stream = index_stream(KEY, 1000, 5000)
+    for i in (4095, 4096, 4097, 5000):
+        digest = hashlib.sha256(TOKEN + i.to_bytes(8, "big")).digest()
+        assert stream[i - 1] == 1 + int.from_bytes(digest, "big") % 1000
+
+
 def test_index_stream_deterministic_and_ranged():
     a = index_stream(KEY, 100, 500)
     b = index_stream(KEY, 100, 500)
@@ -52,6 +68,29 @@ def test_index_stream_validation():
         index_stream(KEY, 0, 5)
     with pytest.raises(TransformError):
         index_stream(KEY, 5, 0)
+
+
+@pytest.mark.parametrize("n", sorted(ARRANGEMENT_SHA256))
+def test_arrangement_frozen_reference(n):
+    arr = _arrangement(TOKEN, n)
+    assert hashlib.sha256(arr.astype("<i8").tobytes()).hexdigest() == ARRANGEMENT_SHA256[n]
+
+
+@given(st.binary(min_size=1, max_size=40), st.integers(0, 12))
+@settings(max_examples=40, deadline=None)
+def test_arrangement_matches_index_stream_walk(token, k):
+    n = 1 << k
+    arr = _arrangement(token, n)
+    expected = _arrangement_from_stream(index_stream(TransformationKey(token), n, n), n)
+    assert arr.dtype == np.int32
+    assert not arr.flags.writeable
+    assert np.array_equal(arr, expected)
+
+
+@pytest.mark.parametrize("n", [0, -4, 3, 12, (1 << 15) + 1, 1 << 32])
+def test_arrangement_rejects_non_power_of_two_or_oversized(n):
+    with pytest.raises(TransformError):
+        _arrangement(TOKEN, n)
 
 
 def test_swap_walkthrough_scripted_stream():
