@@ -159,23 +159,23 @@ def fvc_pairings(n_subjects: int, n_impressions: int) -> FvcPairings:
 
 def _packed_templates(
     dataset: Sequence[Sequence[MinutiaeSet]],
+    n_impressions: int,
     cfg: QuantizationConfig,
     tkey: TransformationKey,
-) -> list[list[np.ndarray]]:
-    """Per-impression revocable-template bits packed into bytes, MSB first."""
-    packed = []
-    for impressions in dataset:
-        row = []
-        for mset in impressions:
-            bits = revocable_template(mset, cfg, tkey).bits
-            row.append(np.packbits(bits, bitorder="big"))
-        packed.append(row)
+) -> np.ndarray:
+    """Revocable-template bits of the first ``n_impressions`` impressions of
+    every subject, packed into bytes MSB first: shape (subjects, impressions,
+    2**n_p / 8)."""
+    packed = np.empty((len(dataset), n_impressions, (1 << cfg.n_p) // 8), np.uint8)
+    for s, impressions in enumerate(dataset):
+        for i, mset in enumerate(impressions[:n_impressions]):
+            packed[s, i] = np.packbits(revocable_template(mset, cfg, tkey).bits, bitorder="big")
     return packed
 
 
-def _matching_fraction(a: np.ndarray, b: np.ndarray, nbits: int) -> float:
-    differing = int(np.bitwise_count(np.bitwise_xor(a, b)).sum())
-    return 1.0 - differing / nbits
+def _differing_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise differing-bit counts of two packed byte stacks (b may be one row)."""
+    return np.bitwise_count(np.bitwise_xor(a, b)).sum(axis=-1)
 
 
 def template_similarity_scores(
@@ -183,21 +183,26 @@ def template_similarity_scores(
     cfg: QuantizationConfig | None = None,
     tkey: TransformationKey | None = None,
 ) -> ScoreSet:
-    """Genuine and impostor matching-bit fractions under one shared key."""
+    """Genuine and impostor matching-bit fractions under one shared key.
+
+    Scores come out in :func:`fvc_pairings` order. Genuine pairs are scored
+    one subject at a time and impostor pairs one row at a time, so the XOR
+    temporaries stay at C(m, 2) or s - 1 templates.
+    """
     cfg = cfg if cfg is not None else QuantizationConfig()
     tkey = tkey if tkey is not None else TransformationKey(b"shared-eval-key!", "stolen-token")
     if len(dataset) < 2 or min(len(row) for row in dataset) < 2:
         raise EvaluationError("dataset needs >= 2 subjects with >= 2 impressions each")
-    pairs = fvc_pairings(len(dataset), min(len(row) for row in dataset))
-    packed = _packed_templates(dataset, cfg, tkey)
+    n_impressions = min(len(row) for row in dataset)
+    packed = _packed_templates(dataset, n_impressions, cfg, tkey)
     nbits = 1 << cfg.n_p
-    genuine = np.array(
-        [_matching_fraction(packed[s][i], packed[s][j], nbits) for s, i, j in pairs.genuine]
+    i_idx, j_idx = np.triu_indices(n_impressions, k=1)
+    genuine = [_differing_bits(row[i_idx], row[j_idx]) for row in packed]
+    first = packed[:, 0]
+    impostor = [_differing_bits(first[si + 1 :], first[si]) for si in range(len(first) - 1)]
+    return ScoreSet(
+        1.0 - np.concatenate(genuine) / nbits, 1.0 - np.concatenate(impostor) / nbits
     )
-    impostor = np.array(
-        [_matching_fraction(packed[si][0], packed[sj][0], nbits) for si, sj in pairs.impostor]
-    )
-    return ScoreSet(genuine, impostor)
 
 
 def session_key_sample(
@@ -235,11 +240,8 @@ def pairwise_key_hamming(keys: Sequence[bytes]) -> np.ndarray:
         raise EvaluationError("need at least 2 keys to compare")
     mat = np.stack([np.frombuffer(k, dtype=np.uint8) for k in keys])
     nbits = mat.shape[1] * 8
-    fractions = []
-    for i in range(len(keys) - 1):
-        diff = np.bitwise_count(np.bitwise_xor(mat[i + 1 :], mat[i])).sum(axis=1)
-        fractions.append(diff / nbits)
-    return np.concatenate(fractions)
+    diffs = [_differing_bits(mat[i + 1 :], mat[i]) for i in range(len(keys) - 1)]
+    return np.concatenate(diffs) / nbits
 
 
 def revocability_fractions(
@@ -265,9 +267,7 @@ def revocability_fractions(
         base_bits = np.frombuffer(base, dtype=np.uint8)
         for _ in range(n_keys):
             other = private_key_from_minutiae(mset, cfg, TransformationKey.random(rng)).to_bytes()
-            diff = int(np.bitwise_count(
-                np.bitwise_xor(base_bits, np.frombuffer(other, dtype=np.uint8))
-            ).sum())
+            diff = int(_differing_bits(base_bits, np.frombuffer(other, dtype=np.uint8)))
             fractions.append(diff / 256.0)
     return np.array(fractions)
 
@@ -309,12 +309,12 @@ def compute_roc(scores: ScoreSet) -> list[RocPoint]:
         genuine, impostor, [np.nextafter(hi, np.inf)],
     )))
     n_gen, n_imp = genuine.size, impostor.size
-    points = []
-    for t in thresholds:
-        far = (n_imp - np.searchsorted(impostor, t, side="left")) / n_imp
-        frr = np.searchsorted(genuine, t, side="left") / n_gen
-        points.append(RocPoint(float(t), float(far), float(frr), float(1.0 - frr)))
-    return points
+    far = (n_imp - np.searchsorted(impostor, thresholds, side="left")) / n_imp
+    frr = np.searchsorted(genuine, thresholds, side="left") / n_gen
+    return [
+        RocPoint(*row)
+        for row in zip(thresholds.tolist(), far.tolist(), frr.tolist(), (1.0 - frr).tolist())
+    ]
 
 
 def eer(scores: ScoreSet) -> float:

@@ -12,6 +12,7 @@ pair lands in it.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -238,20 +239,35 @@ def bin_to_bitstring(vectors: list[PairVector], cfg: QuantizationConfig) -> Feat
     return FeatureBitString(bits, cfg.n_p)
 
 
+@functools.lru_cache(maxsize=8)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``triu_indices(n, k=1)``: every (i, j) with i < j in row order."""
+    i_idx, j_idx = np.triu_indices(n, k=1)
+    i_idx.setflags(write=False)
+    j_idx.setflags(write=False)
+    return i_idx, j_idx
+
+
 def extract_features(mset: MinutiaeSet, cfg: QuantizationConfig) -> FeatureBitString:
     """Fused extraction path: equivalent to binning ``all_pair_vectors`` but
-    vectorized over all pairs; degenerate pairs are skipped."""
-    n = len(mset.minutiae)
-    xs = np.array([m.x for m in mset.minutiae], dtype=np.float64)
-    ys = np.array([m.y for m in mset.minutiae], dtype=np.float64)
-    th = np.array([m.theta for m in mset.minutiae], dtype=np.float64)
+    vectorized over all pairs; degenerate pairs are skipped.
 
-    i_idx, j_idx = np.triu_indices(n, k=1)
+    Radians, cosine and sine are computed once per minutia and gathered per
+    pair; every per-pair operation keeps :func:`pair_triplet`'s operands and
+    order, so the bits equal the per-pair path's.
+    """
+    xs, ys, th = np.array(
+        [(m.x, m.y, m.theta) for m in mset.minutiae], dtype=np.float64
+    ).T
+    rad = np.radians(th)
+    cos_t, sin_t = np.cos(rad), np.sin(rad)
+
+    i_idx, j_idx = _pair_indices(len(mset.minutiae))
     dx = xs[j_idx] - xs[i_idx]
     dy = ys[j_idx] - ys[i_idx]
-    ti = np.radians(th[i_idx])
-    x = dx * np.cos(ti) + dy * np.sin(ti)
-    y = dx * np.sin(ti) - dy * np.cos(ti)
+    cos_i, sin_i = cos_t[i_idx], sin_t[i_idx]
+    x = dx * cos_i + dy * sin_i
+    y = dx * sin_i - dy * cos_i
 
     valid = ~((x == 0.0) & (y == 0.0))
     if not valid.any():
@@ -261,7 +277,7 @@ def extract_features(mset: MinutiaeSet, cfg: QuantizationConfig) -> FeatureBitSt
     length = np.hypot(x, y)
     alpha = np.degrees(np.arctan2(y, x)) % 360.0
     alpha[alpha >= 360.0] = 0.0
-    beta = (alpha + th[j_idx][valid] - th[i_idx][valid]) % 360.0
+    beta = (alpha + th[j_idx[valid]] - th[i_idx[valid]]) % 360.0
     beta[beta >= 360.0] = 0.0
 
     l_bins = 1 << cfg.n_l

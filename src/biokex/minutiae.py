@@ -131,8 +131,9 @@ class PerturbationProfile:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.translation_sigma < 0 or self.rotation_sigma < 0:
-            raise MinutiaeError("perturbation sigmas must be >= 0")
+        for sigma in (self.translation_sigma, self.rotation_sigma):
+            if not (math.isfinite(sigma) and sigma >= 0):
+                raise MinutiaeError("perturbation sigmas must be finite and >= 0")
         if not 0.0 <= self.drop_rate <= 1.0 or not 0.0 <= self.spurious_rate <= 1.0:
             raise MinutiaeError("drop/spurious rates must lie in [0, 1]")
 
@@ -253,27 +254,38 @@ def perturb(mset: MinutiaeSet, profile: PerturbationProfile) -> MinutiaeSet:
     orientation, a ``drop_rate`` fraction is removed, and a ``spurious_rate``
     fraction of invented minutiae is appended. Deterministic for a fixed
     profile seed; the all-zero profile is the identity map.
+
+    The displacement runs on whole arrays, but the RNG draw order is the
+    per-minutia one: x, y and angle noise for every minutia, then the drop
+    choice, then one scalar (x, y, angle) draw per spurious minutia. Positions
+    round half to even (as ``round``) and clip to the image; angles reduce as
+    :func:`normalize_degrees` does. Positional rounding can collide two
+    survivors; the first occurrence is kept.
     """
     rng = np.random.default_rng(np.random.SeedSequence(profile.rng_seed))
     n = len(mset.minutiae)
+    pts = np.array([(m.x, m.y, m.theta) for m in mset.minutiae], dtype=np.float64)
 
     dx = rng.normal(0.0, profile.translation_sigma, size=n)
     dy = rng.normal(0.0, profile.translation_sigma, size=n)
     dtheta = rng.normal(0.0, profile.rotation_sigma, size=n)
 
-    moved: list[Minutia] = []
-    for m, ddx, ddy, ddt in zip(mset.minutiae, dx, dy, dtheta):
-        x = int(np.clip(round(m.x + ddx), 0, mset.width))
-        y = int(np.clip(round(m.y + ddy), 0, mset.height))
-        moved.append(Minutia(x, y, normalize_degrees(m.theta + ddt)))
+    xs = np.clip(np.rint(pts[:, 0] + dx), 0, mset.width).astype(np.int64)
+    ys = np.clip(np.rint(pts[:, 1] + dy), 0, mset.height).astype(np.int64)
+    thetas = np.fmod(pts[:, 2] + dtheta, 360.0)
+    thetas[thetas < 0.0] += 360.0
+    # fmod of a tiny negative can round up to exactly 360.0
+    thetas[thetas >= 360.0] = 0.0
 
     n_drop = int(round(profile.drop_rate * n))
     if n_drop:
-        drop = set(rng.choice(n, size=n_drop, replace=False).tolist())
-        moved = [m for i, m in enumerate(moved) if i not in drop]
+        keep = np.ones(n, dtype=bool)
+        keep[rng.choice(n, size=n_drop, replace=False)] = False
+        xs, ys, thetas = xs[keep], ys[keep], thetas[keep]
+    moved = list(zip(xs.tolist(), ys.tolist(), thetas.tolist()))
 
     n_spurious = int(round(profile.spurious_rate * n))
-    seen = {(m.x, m.y, m.theta) for m in moved}
+    seen = set(moved)
     for _ in range(n_spurious):
         while True:
             x = int(rng.integers(0, mset.width, endpoint=True))
@@ -282,22 +294,14 @@ def perturb(mset: MinutiaeSet, profile: PerturbationProfile) -> MinutiaeSet:
             if (x, y, theta) not in seen:
                 break
         seen.add((x, y, theta))
-        moved.append(Minutia(x, y, theta))
+        moved.append((x, y, theta))
 
-    # positional rounding can collide two survivors; keep first occurrence
-    unique: list[Minutia] = []
-    kept: set[tuple[int, int, float]] = set()
-    for m in moved:
-        key = (m.x, m.y, m.theta)
-        if key not in kept:
-            kept.add(key)
-            unique.append(m)
-
+    unique = dict.fromkeys(moved)
     if len(unique) < 2:
         raise InsufficientMinutiaeError(
             f"insufficient minutiae: {len(unique)} left after perturbation"
         )
-    return replace(mset, minutiae=tuple(unique))
+    return replace(mset, minutiae=tuple(Minutia(*key) for key in unique))
 
 
 def synthesize_dataset(

@@ -3,7 +3,14 @@ import pytest
 
 from biokex import netsim
 from biokex.features import QuantizationConfig
-from biokex.minutiae import PerturbationProfile, synthesize_dataset
+from biokex.minutiae import (
+    Minutia,
+    MinutiaeSet,
+    PerturbationProfile,
+    perturb,
+    synthesize_dataset,
+    synthesize_subject,
+)
 
 _acceptance_lines: list[str] = []
 
@@ -47,3 +54,47 @@ def cfg12():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(7)
+
+
+@pytest.fixture(scope="session")
+def pinned_galleries():
+    """Impression lists whose serialized minutiae and feature strings are
+    pinned by SHA-256 digests computed with the per-minutia perturbation
+    loop and the per-pair trigonometry.
+
+    * ``cli``: the ``biokex eval`` default profile (2 px, 4 deg, 5% drop,
+      190 minutiae) on a 4 x 4 gallery;
+    * ``harsh``: a 12 x 10 image with 3 px and 200 deg noise and 30%
+      spurious minutiae, so positions clip at the border, angles wrap
+      across 0/360 and many pairs share a position;
+    * ``collide``: a grid of equal-angle minutiae under positional noise
+      only, so rounded survivors collide and are deduplicated;
+    * ``edge``: two-minutia sets and a set with a coincident pair.
+    """
+    def flat(dataset):
+        return [mset for row in dataset for mset in row]
+
+    grid = MinutiaeSet(
+        "grid", 0, 8, 8,
+        tuple(Minutia(x, y, 90.0) for x in range(0, 9, 2) for y in range(0, 9, 2)),
+    )
+    two = synthesize_subject(2, 388, 374, seed=3)
+    return {
+        "cli": flat(synthesize_dataset(
+            4, 4, PerturbationProfile(2.0, 4.0, 0.05), n_minutiae=190, seed=2024)),
+        "harsh": flat(synthesize_dataset(
+            6, 4, PerturbationProfile(3.0, 200.0, 0.1, 0.3),
+            n_minutiae=60, width=12, height=10, seed=7)),
+        "collide": [
+            perturb(grid, PerturbationProfile(1.5, 0.0, 0.0, 0.2, rng_seed=s))
+            for s in range(8)
+        ],
+        "edge": [
+            two,
+            perturb(two, PerturbationProfile(2.0, 4.0, rng_seed=5)),
+            MinutiaeSet(
+                "d", 0, 10, 10,
+                (Minutia(5, 5, 0.0), Minutia(5, 5, 90.0), Minutia(7, 5, 10.0)),
+            ),
+        ],
+    }

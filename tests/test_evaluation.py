@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from biokex import cli
 from biokex.evaluation import (
     DistributionSummary,
     EvaluationError,
@@ -22,7 +24,7 @@ from biokex.evaluation import (
 )
 from biokex.features import QuantizationConfig
 from biokex.minutiae import PerturbationProfile, synthesize_dataset
-from biokex.pipeline import private_key_from_minutiae
+from biokex.pipeline import private_key_from_minutiae, revocable_template
 from biokex.transform import TransformationKey
 
 
@@ -263,3 +265,79 @@ def test_write_summary_records(tmp_path, rng):
     hist_line = next(l for l in lines if l.startswith("genuine.histogram="))
     counts = [int(v) for v in hist_line.split("=", 1)[1].split(",")]
     assert len(counts) == 50 and sum(counts) == 200
+
+
+# --- batched scoring and sweep against their per-pair and per-threshold forms ---
+
+def test_template_scores_match_per_pair_path(small_dataset, cfg12):
+    tkey = TransformationKey(b"per-pair-oracle!", "oracle")
+    # a ragged gallery: the pairings use the shortest row's impressions
+    dataset = [list(row) for row in small_dataset]
+    dataset[3] = dataset[3] + [dataset[4][0]]
+    packed = [
+        [np.packbits(revocable_template(m, cfg12, tkey).bits, bitorder="big") for m in row]
+        for row in dataset
+    ]
+    nbits = 1 << cfg12.n_p
+
+    def score(a, b):
+        return 1.0 - int(np.bitwise_count(np.bitwise_xor(a, b)).sum()) / nbits
+
+    pairs = fvc_pairings(len(dataset), 3)
+    genuine = np.array([score(packed[s][i], packed[s][j]) for s, i, j in pairs.genuine])
+    impostor = np.array([score(packed[si][0], packed[sj][0]) for si, sj in pairs.impostor])
+    scores = template_similarity_scores(dataset, cfg12, tkey)
+    assert scores.genuine.tobytes() == genuine.tobytes()
+    assert scores.impostor.tobytes() == impostor.tobytes()
+
+
+def roc_per_threshold(scores):
+    """Reference sweep: one pair of ``searchsorted`` calls per threshold."""
+    genuine = np.sort(scores.genuine)
+    impostor = np.sort(scores.impostor)
+    hi = max(genuine[-1], impostor[-1])
+    thresholds = np.unique(np.concatenate((genuine, impostor, [np.nextafter(hi, np.inf)])))
+    n_gen, n_imp = genuine.size, impostor.size
+    points = []
+    for t in thresholds:
+        far = (n_imp - np.searchsorted(impostor, t, side="left")) / n_imp
+        frr = np.searchsorted(genuine, t, side="left") / n_gen
+        points.append((float(t), float(far), float(frr), float(1.0 - frr)))
+    return points
+
+
+@given(
+    st.lists(st.integers(0, 40), min_size=1, max_size=60),
+    st.lists(st.integers(0, 40), min_size=1, max_size=60),
+)
+@settings(max_examples=60, deadline=None)
+def test_roc_matches_per_threshold_sweep(genuine, impostor):
+    # scores on a 1/40 grid, so ties within and across the two lists are common
+    scores = ScoreSet(np.array(genuine) / 40.0, np.array(impostor) / 40.0)
+    points = compute_roc(scores)
+    assert [tuple(p) for p in points] == roc_per_threshold(scores)
+    assert all(type(v) is float for p in points for v in p)
+
+
+# SHA-256 of roc.csv and of the summary file, computed with per-pair scoring
+# and the per-threshold sweep
+EVAL_PINS = {
+    "roc.csv": "db302c880e6849f5aa899e9f2b78a6f06aa3f3dc2c42a6ea40984c4b197ce920",
+    "summary.txt": "fad9994bfa1e97b0c95bd39609d0c18d5acb0f84ebacadb297009e82df4fee2c",
+}
+
+
+def test_eval_outputs_frozen_reference(tmp_path, capsys):
+    # noisy enough that the two score distributions overlap (EER 0.25)
+    rc = cli.dispatch([
+        "eval", "--synthetic", "--subjects", "8", "--impressions", "4",
+        "--minutiae", "60", "--seed", "3", "--np", "12", "--noise", "8",
+        "--rotation-noise", "30", "--drop-rate", "0.3",
+        "--out", str(tmp_path / "roc.csv"), "--summary-out", str(tmp_path / "summary.txt"),
+    ])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith(
+        "genuine_mean=0.7484 impostor_mean=0.7405 separation=0.0079 eer=0.2500\n"
+    )
+    for name, digest in EVAL_PINS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -234,3 +235,90 @@ def test_config_validation():
         QuantizationConfig(n_l=0)
     assert QuantizationConfig.for_np(15) == QuantizationConfig(5, 5, 5)
     assert QuantizationConfig.for_np(12).n_p == 12
+
+
+# SHA-256 of the concatenated ``extract_features(...).serialize()`` over every
+# set of each ``pinned_galleries`` entry, computed with per-pair trigonometry
+FEATURE_PINS = {
+    (12, "cli"): "5a4b77607cfe262c3d1500e3b54b7536936e0d8f4e6dfff631bbf7e7620d8b31",
+    (12, "harsh"): "1ba82e1b850e60bad7e1361d5e9863d8c14391fc1bdbe4f4b45c0123ef09005c",
+    (12, "collide"): "7d9a3d998ff5b8f738f350031a038cf0faeb52f8cbf01d7e04a5d4b6a4d346b1",
+    (12, "edge"): "171edb4e2db96867b490564a8abd9cb1fdff4c77511776e382fe324108fc9ae1",
+    (15, "cli"): "0dc40e02d033c26ce5fa2dbee7de36dc1331565834976f75a46d18aed06921c5",
+    (15, "harsh"): "79acda2232560970012e05d2d8c832deb78955546e07e587ab508e455236196b",
+    (15, "collide"): "697d41228c9abfba98b86b8369ebcaa5430f3a28fec0f345ea1554aaa92087a7",
+    (15, "edge"): "f7fa84fbd848f973e7f943a07fe78bb417bfa2f5d3f866bf6f0f7389d91a1a86",
+}
+
+
+@pytest.mark.parametrize("n_p, name", sorted(FEATURE_PINS))
+def test_extract_features_frozen_reference(pinned_galleries, n_p, name):
+    cfg = QuantizationConfig.for_np(n_p)
+    blob = b"".join(extract_features(m, cfg).serialize() for m in pinned_galleries[name])
+    assert hashlib.sha256(blob).hexdigest() == FEATURE_PINS[n_p, name]
+
+
+@st.composite
+def crowded_sets(draw):
+    # a small image makes coincident positions (degenerate pairs) common
+    side = draw(st.integers(1, 30))
+    pts = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, side),
+                st.integers(0, side),
+                st.floats(0.0, 360.0, exclude_max=True),
+            ),
+            min_size=2,
+            max_size=40,
+            unique=True,
+        )
+    )
+    return MinutiaeSet("c", 0, side, side, tuple(Minutia(*p) for p in pts))
+
+
+def extract_features_per_pair_trig(mset, cfg):
+    """Reference extraction: radians, cosine and sine evaluated per pair."""
+    xs = np.array([m.x for m in mset.minutiae], dtype=np.float64)
+    ys = np.array([m.y for m in mset.minutiae], dtype=np.float64)
+    th = np.array([m.theta for m in mset.minutiae], dtype=np.float64)
+    i_idx, j_idx = np.triu_indices(len(mset.minutiae), k=1)
+    dx = xs[j_idx] - xs[i_idx]
+    dy = ys[j_idx] - ys[i_idx]
+    ti = np.radians(th[i_idx])
+    x = dx * np.cos(ti) + dy * np.sin(ti)
+    y = dx * np.sin(ti) - dy * np.cos(ti)
+    valid = ~((x == 0.0) & (y == 0.0))
+    if not valid.any():
+        raise FeatureError("no valid pair vectors: all pairs coincident")
+    x, y = x[valid], y[valid]
+    length = np.hypot(x, y)
+    alpha = np.degrees(np.arctan2(y, x)) % 360.0
+    alpha[alpha >= 360.0] = 0.0
+    beta = (alpha + th[j_idx][valid] - th[i_idx][valid]) % 360.0
+    beta[beta >= 360.0] = 0.0
+    l_bins, a_bins, b_bins = 1 << cfg.n_l, 1 << cfg.n_alpha, 1 << cfg.n_beta
+    l_bin = np.minimum((length / (cfg.l_max / l_bins)).astype(np.int64), l_bins - 1)
+    a_bin = np.minimum((alpha / (360.0 / a_bins)).astype(np.int64), a_bins - 1)
+    b_bin = np.minimum((beta / (360.0 / b_bins)).astype(np.int64), b_bins - 1)
+    bits = np.zeros(1 << cfg.n_p, dtype=np.uint8)
+    bits[(l_bin << (cfg.n_alpha + cfg.n_beta)) | (a_bin << cfg.n_beta) | b_bin] = 1
+    return FeatureBitString(bits, cfg.n_p)
+
+
+@given(crowded_sets(), st.sampled_from([3, 12, 15]))
+@settings(max_examples=100, deadline=None)
+def test_extract_matches_per_pair_trig(mset, n_p):
+    # NumPy trigonometry on both sides: on some CPUs NumPy's vectorized
+    # arctan2 differs from math.atan2 in the last bit, which moves a triplet
+    # that sits on a bin edge, so the scalar per-pair path is no exact
+    # reference on crowded sets (two minutiae at (0, 1, 151) and (0, 0, 0)
+    # give beta 90.0 there and 89.99999999999997 here at n_p=12)
+    cfg = QuantizationConfig.for_np(n_p)
+    try:
+        expected = extract_features_per_pair_trig(mset, cfg)
+    except FeatureError:
+        with pytest.raises(FeatureError):
+            extract_features(mset, cfg)
+        return
+    assert extract_features(mset, cfg) == expected

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,6 +197,13 @@ def test_profile_validation():
         PerturbationProfile(drop_rate=1.5)
 
 
+@pytest.mark.parametrize("field", ["translation_sigma", "rotation_sigma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_profile_rejects_non_finite_sigma(field, value):
+    with pytest.raises(MinutiaeError, match="finite"):
+        PerturbationProfile(**{field: value})
+
+
 def test_synthesize_dataset_shape_and_ids():
     profile = PerturbationProfile(translation_sigma=1.0, rng_seed=0)
     ds = synthesize_dataset(3, 4, profile, n_minutiae=10, seed=1)
@@ -203,3 +212,115 @@ def test_synthesize_dataset_shape_and_ids():
     assert ds[1][2].impression_id == 2
     # impressions differ (noise) but share the subject
     assert ds[0][0] != ds[0][1]
+
+
+# SHA-256 of the concatenated ``serialize_minutiae`` output over every set of
+# each ``pinned_galleries`` entry, computed with the per-minutia loop below
+PERTURB_PINS = {
+    "cli": "1aadb9913b41624e3423a3c0ba5108153292889b3350bdd4d27f71cd11e96ad2",
+    "harsh": "f6410979e0d0390c776790c91895c218607d6c56f2819fb7ab5dd3fdcb8f7ffa",
+    "collide": "9c0dc673042ed52155ca0262a3a06891762aad129f925461bb03fbfbab441fd6",
+    "edge": "5524581a00bc6b9e000bec38a5abb75711c4f81f23913b3218c5db0f64db5c4d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERTURB_PINS))
+def test_perturbed_gallery_frozen_reference(pinned_galleries, name):
+    blob = b"".join(serialize_minutiae(m) for m in pinned_galleries[name])
+    assert hashlib.sha256(blob).hexdigest() == PERTURB_PINS[name]
+
+
+def perturb_per_minutia(mset: MinutiaeSet, profile: PerturbationProfile) -> MinutiaeSet:
+    """Reference perturbation: one minutia at a time, with Python ``round``,
+    scalar ``np.clip`` and ``normalize_degrees``; same RNG draw order."""
+    rng = np.random.default_rng(np.random.SeedSequence(profile.rng_seed))
+    n = len(mset.minutiae)
+
+    dx = rng.normal(0.0, profile.translation_sigma, size=n)
+    dy = rng.normal(0.0, profile.translation_sigma, size=n)
+    dtheta = rng.normal(0.0, profile.rotation_sigma, size=n)
+
+    moved: list[Minutia] = []
+    for m, ddx, ddy, ddt in zip(mset.minutiae, dx, dy, dtheta):
+        x = int(np.clip(round(m.x + ddx), 0, mset.width))
+        y = int(np.clip(round(m.y + ddy), 0, mset.height))
+        moved.append(Minutia(x, y, normalize_degrees(m.theta + ddt)))
+
+    n_drop = int(round(profile.drop_rate * n))
+    if n_drop:
+        drop = set(rng.choice(n, size=n_drop, replace=False).tolist())
+        moved = [m for i, m in enumerate(moved) if i not in drop]
+
+    n_spurious = int(round(profile.spurious_rate * n))
+    seen = {(m.x, m.y, m.theta) for m in moved}
+    for _ in range(n_spurious):
+        while True:
+            x = int(rng.integers(0, mset.width, endpoint=True))
+            y = int(rng.integers(0, mset.height, endpoint=True))
+            theta = normalize_degrees(rng.uniform(0.0, 360.0))
+            if (x, y, theta) not in seen:
+                break
+        seen.add((x, y, theta))
+        moved.append(Minutia(x, y, theta))
+
+    unique: list[Minutia] = []
+    kept: set[tuple[int, int, float]] = set()
+    for m in moved:
+        key = (m.x, m.y, m.theta)
+        if key not in kept:
+            kept.add(key)
+            unique.append(m)
+
+    if len(unique) < 2:
+        raise InsufficientMinutiaeError(
+            f"insufficient minutiae: {len(unique)} left after perturbation"
+        )
+    return replace(mset, minutiae=tuple(unique))
+
+
+@st.composite
+def perturb_inputs(draw):
+    # small images and a handful of shared angles make rounding collisions,
+    # border clipping and 0/360 wrapping common
+    width = draw(st.integers(1, 40))
+    height = draw(st.integers(1, 40))
+    angles = st.one_of(
+        st.sampled_from([0.0, 90.0, 359.5, 1e-12, 360.0 - 1e-12]),
+        st.floats(0.0, 360.0, exclude_max=True),
+    )
+    pts = draw(
+        st.lists(
+            st.tuples(st.integers(0, width), st.integers(0, height), angles),
+            min_size=2,
+            max_size=60,
+            unique=True,
+        )
+    )
+    profile = PerturbationProfile(
+        translation_sigma=draw(st.sampled_from([0.0, 0.5, 2.0, 30.0])),
+        rotation_sigma=draw(st.sampled_from([0.0, 1e-9, 4.0, 400.0])),
+        drop_rate=draw(st.floats(0.0, 1.0)),
+        spurious_rate=draw(st.floats(0.0, 1.0)),
+        rng_seed=draw(st.integers(0, 2**32)),
+    )
+    mset = MinutiaeSet("h", 0, width, height, tuple(Minutia(*p) for p in pts))
+    return mset, profile
+
+
+@given(perturb_inputs())
+@settings(max_examples=150, deadline=None)
+def test_perturb_matches_per_minutia_path(args):
+    mset, profile = args
+    try:
+        expected = perturb_per_minutia(mset, profile)
+    except InsufficientMinutiaeError:
+        with pytest.raises(InsufficientMinutiaeError):
+            perturb(mset, profile)
+        return
+    got = perturb(mset, profile)
+    assert got == expected
+    assert serialize_minutiae(got) == serialize_minutiae(expected)
+    # same values, same types: repr tells 0.0 from -0.0 and int from float
+    assert [tuple(map(repr, (m.x, m.y, m.theta))) for m in got.minutiae] == [
+        tuple(map(repr, (m.x, m.y, m.theta))) for m in expected.minutiae
+    ]
