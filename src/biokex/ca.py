@@ -7,10 +7,14 @@ requests travel under hybrid encryption (RSA-OAEP wrapped AES-256-GCM),
 since an identity plus public key exceeds one RSA block.
 
 Key pairs can be generated deterministically from a seed: primes come from
-a SHA-256 counter stream checked by Miller-Rabin, and the resulting numbers
-are handed to ``cryptography`` for the actual RSA operations. Signing and
-verification therefore use the library code path; only prime sampling is
-local, which is what makes seeded CA setup reproducible.
+a SHA-256 counter stream checked by trial division and 40 Miller-Rabin
+rounds, and the resulting numbers are handed to ``cryptography`` for the
+actual RSA operations. Signing and verification therefore use the library
+code path; prime sampling is local, which is what makes seeded CA setup
+reproducible. Miller-Rabin's witness exponentiation runs in the OpenSSL
+that ``hashlib`` links (``BN_mod_exp_mont_consttime``, constant-time), with
+Python ``pow`` as the fallback where that library cannot be bound; both give
+the same numbers, so a seed gives the same key either way.
 
 ``verify_certificate`` is pure and freely concurrent; ``CaRegistry.enroll``
 mutates the registry and follows a single-writer contract.
@@ -18,6 +22,8 @@ mutates the registry and follows a single-writer contract.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import math
 import secrets
@@ -90,6 +96,7 @@ class Identity:
 # --- deterministic prime sampling -----------------------------------------
 
 _SMALL_PRIMES = [p for p in range(3, 2000) if all(p % d for d in range(2, int(math.isqrt(p)) + 1))]
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 
 class _HashStream:
@@ -111,10 +118,79 @@ class _HashStream:
         return int.from_bytes(self.take((bits + 7) // 8), "big") % (1 << bits)
 
 
+@functools.cache
+def _libcrypto():
+    """Bind the OpenSSL BIGNUM calls :func:`_modexp` uses, once; None if unavailable.
+
+    ``dlsym`` on the ``_hashlib`` extension's handle also searches the
+    libcrypto it links, so this is the OpenSSL ``hashlib`` already loaded.
+    """
+    try:
+        import _hashlib
+
+        lib = ctypes.CDLL(_hashlib.__file__)
+        p, i = ctypes.c_void_p, ctypes.c_int
+        for name, restype, argtypes in (
+            ("BN_CTX_new", p, ()),
+            ("BN_CTX_free", None, (p,)),
+            ("BN_new", p, ()),
+            ("BN_clear_free", None, (p,)),
+            ("BN_bin2bn", p, (ctypes.c_char_p, i, p)),
+            ("BN_bn2binpad", i, (p, ctypes.c_char_p, i)),
+            ("BN_mod_exp_mont_consttime", i, (p, p, p, p, p, p)),
+            ("ERR_clear_error", None, ()),
+        ):
+            fn = getattr(lib, name)
+            fn.restype = restype
+            fn.argtypes = argtypes
+    except (ImportError, OSError, AttributeError):
+        return None
+    return lib
+
+
+def _modexp(a: int, d: int, n: int) -> int:
+    """``pow(a, d, n)`` for non-negative ``a``, ``d`` and ``n > 1``; in OpenSSL for odd ``n``.
+
+    Each call owns its ``BN_CTX`` and ``BIGNUM``s and clears them before
+    freeing, since ``n`` is a secret prime candidate; nothing is shared
+    between threads. Montgomery multiplication needs an odd modulus, so an
+    even ``n``, like every call when OpenSSL cannot be bound, uses ``pow``.
+    """
+    lib = _libcrypto()
+    if lib is None or n % 2 == 0:
+        return pow(a, d, n)
+    size = (n.bit_length() + 7) // 8
+    out = ctypes.create_string_buffer(size)
+    ctx = lib.BN_CTX_new()
+    nums = []
+    try:
+        for value in (a, d, n):
+            raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
+            nums.append(lib.BN_bin2bn(raw, len(raw), None))
+        result = lib.BN_new()
+        nums.append(result)
+        if not (
+            ctx
+            and all(nums)
+            and lib.BN_mod_exp_mont_consttime(result, *nums[:3], ctx, None)
+            and lib.BN_bn2binpad(result, out, size) == size
+        ):
+            lib.ERR_clear_error()
+            raise CaError("OpenSSL modular exponentiation failed")
+        return int.from_bytes(out.raw, "big")
+    finally:
+        # both free calls accept NULL
+        for num in nums:
+            lib.BN_clear_free(num)
+        lib.BN_CTX_free(ctx)
+
+
 def _is_probable_prime(n: int, stream: _HashStream, rounds: int = 40) -> bool:
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
+    # One gcd stands in for trial division by each small prime in turn: that
+    # loop returns n == p for the first p dividing n, which holds exactly
+    # when n is itself one of the small primes.
+    if math.gcd(n, _SMALL_PRIMORIAL) != 1:
+        return n in _SMALL_PRIMES
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -122,7 +198,7 @@ def _is_probable_prime(n: int, stream: _HashStream, rounds: int = 40) -> bool:
         r += 1
     for _ in range(rounds):
         a = 2 + stream.take_int(n.bit_length() + 16) % (n - 3)
-        x = pow(a, d, n)
+        x = _modexp(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):

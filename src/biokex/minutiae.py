@@ -262,6 +262,11 @@ def perturb(mset: MinutiaeSet, profile: PerturbationProfile) -> MinutiaeSet:
     :func:`normalize_degrees` does. Positional rounding can collide two
     survivors; the first occurrence is kept.
     """
+    return replace(mset, minutiae=_perturbed_minutiae(mset, profile))
+
+
+def _perturbed_minutiae(mset: MinutiaeSet, profile: PerturbationProfile) -> tuple[Minutia, ...]:
+    """The minutiae of ``perturb(mset, profile)``, not yet wrapped in a set."""
     rng = np.random.default_rng(np.random.SeedSequence(profile.rng_seed))
     n = len(mset.minutiae)
     pts = np.array([(m.x, m.y, m.theta) for m in mset.minutiae], dtype=np.float64)
@@ -301,7 +306,7 @@ def perturb(mset: MinutiaeSet, profile: PerturbationProfile) -> MinutiaeSet:
         raise InsufficientMinutiaeError(
             f"insufficient minutiae: {len(unique)} left after perturbation"
         )
-    return replace(mset, minutiae=tuple(Minutia(*key) for key in unique))
+    return tuple(Minutia(*key) for key in unique)
 
 
 def synthesize_dataset(
@@ -331,7 +336,7 @@ def synthesize_dataset(
             sub_seed = int(
                 np.random.SeedSequence([seed, s, i]).generate_state(1, np.uint64)[0]
             )
-            cap = perturb(base, replace(profile, rng_seed=sub_seed))
-            impressions.append(replace(cap, impression_id=i))
+            moved = _perturbed_minutiae(base, replace(profile, rng_seed=sub_seed))
+            impressions.append(MinutiaeSet(base.subject_id, i, base.width, base.height, moved))
         dataset.append(impressions)
     return dataset

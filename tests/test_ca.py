@@ -1,5 +1,12 @@
-import pytest
+import hashlib
+import random
+import sys
 
+import pytest
+from cryptography.hazmat.primitives import serialization
+from hypothesis import example, given, settings, strategies as st
+
+from biokex import ca as ca_module
 from biokex.ca import (
     CaError,
     CaRegistry,
@@ -179,3 +186,161 @@ def test_process_enrollment_end_to_end(tmp_path):
     cert = registry.process_enrollment(blob, now=1)
     assert verify_certificate(registry.public_key, cert) == Identity("erin")
     assert "erin" in registry.enrolled
+
+
+# SHA-256 of (public SubjectPublicKeyInfo DER, private PKCS#8 DER), pinned
+# before Miller-Rabin's witness exponentiation moved to OpenSSL.
+FROZEN_KEYGEN = {
+    0: (
+        "0addb8be69a9d1066ce338561e58b39ab84fb6bd5f2257cb8d7ad30949c4b07c",
+        "e45cf04fcd472093a7e527c6a9a06fab2f1cf99e005910b4882bd7054e49bed2",
+    ),
+    1: (
+        "bb5fd789de04ab054a8548feaecc47a53571c5056476b921a182d205a97183b3",
+        "a8b5f16492ae0c6dff1b0e60a00c16977ee18175de0a1458fd8e133241a069ef",
+    ),
+    7: (
+        "464072fad06a1373395854f62163cc86443a9f48e7dc1809e67546002333f6b7",
+        "044ae808844d5a562d4caa22487e110080c227e5929cea137341afffcd307b36",
+    ),
+    111: (
+        "687be9462c6652568977331d59aa049a0f4ebdf367aeb989ed8e70a08aa05399",
+        "54cba3afb8b02d40eea7e83ad02d6ef9ff7903c0bd75801daab66724ac0654c3",
+    ),
+    999: (
+        "b8af46ce7601fff5f81e3a9cbf6d521a3fa200e9313dad4543a7b6680d53a031",
+        "f25eaeaa800dc61b0e65983d28461f94b3d50d5dc343f835fa557c9468dc607c",
+    ),
+}
+
+
+def keygen_digests(seed: int) -> tuple[str, str]:
+    key = RsaKeyPair.generate(seed)
+    private_der = key.private_key.private_bytes(
+        serialization.Encoding.DER,
+        serialization.PrivateFormat.PKCS8,
+        serialization.NoEncryption(),
+    )
+    return hashlib.sha256(key.public_der).hexdigest(), hashlib.sha256(private_der).hexdigest()
+
+
+@pytest.fixture
+def without_openssl(monkeypatch):
+    """Hide ``_hashlib`` so the binding fails and ``_modexp`` falls back to ``pow``."""
+    ca_module._libcrypto.cache_clear()
+    monkeypatch.setitem(sys.modules, "_hashlib", None)
+    assert ca_module._libcrypto() is None
+    yield
+    ca_module._libcrypto.cache_clear()
+
+
+def test_openssl_binding_resolves():
+    assert ca_module._libcrypto() is not None
+
+
+@pytest.mark.parametrize("seed", sorted(FROZEN_KEYGEN))
+def test_seeded_keygen_frozen_reference(seed):
+    assert keygen_digests(seed) == FROZEN_KEYGEN[seed]
+
+
+def test_seeded_keygen_frozen_reference_without_openssl(without_openssl):
+    assert {seed: keygen_digests(seed) for seed in FROZEN_KEYGEN} == FROZEN_KEYGEN
+
+
+def test_missing_symbol_falls_back_to_pow(monkeypatch):
+    class NoSymbols:
+        def __init__(self, path):
+            pass
+
+    ca_module._libcrypto.cache_clear()
+    monkeypatch.setattr(ca_module.ctypes, "CDLL", NoSymbols)
+    try:
+        assert ca_module._libcrypto() is None
+        assert ca_module._modexp(3, 2**200 + 1, 2**127 - 1) == pow(3, 2**200 + 1, 2**127 - 1)
+    finally:
+        ca_module._libcrypto.cache_clear()
+
+
+def test_modexp_failure_raises(monkeypatch):
+    lib = ca_module._libcrypto()
+
+    class FailingExp:
+        def __getattr__(self, name):
+            return getattr(lib, name)
+
+        def BN_mod_exp_mont_consttime(self, *args):
+            return 0
+
+    monkeypatch.setattr(ca_module, "_libcrypto", lambda: FailingExp())
+    with pytest.raises(CaError, match="modular exponentiation failed"):
+        ca_module._modexp(2, 5, 7)
+
+
+@st.composite
+def modexp_operands(draw):
+    m = 2 * draw(st.integers(1, 2**1099 - 1)) + 1
+    e = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 2**1100)))
+    a = draw(
+        st.one_of(
+            st.sampled_from([0, 1, m - 1]),
+            st.integers(0, m - 1),
+            st.integers(m, 4 * m),
+        )
+    )
+    return a, e, m
+
+
+@given(modexp_operands())
+@example((0, 0, 3))
+@example((0, 1, 3))
+@example((1, 2**1100, 3))
+@example((2, 0, 3))
+@example((5, 7, 3))
+@example((2**1100 - 2, 2**1100, 2**1100 - 1))
+@example((2**1200, 2**1100, 2**1100 - 1))
+@settings(max_examples=300, deadline=None)
+def test_modexp_matches_pow(operands):
+    a, e, m = operands
+    assert ca_module._modexp(a, e, m) == pow(a, e, m)
+
+
+def _is_probable_prime_by_loop(n, stream, rounds=40):
+    """``_is_probable_prime`` with trial division by each small prime in turn
+    and Python ``pow`` throughout; the reference the gcd form must equal."""
+    for p in ca_module._SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for _ in range(rounds):
+        a = 2 + stream.take_int(n.bit_length() + 16) % (n - 3)
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = pow(x, 2, n)
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_trial_division_by_gcd_matches_loop():
+    rng = random.Random(1024)
+    # n = 1 is left out: both forms reach Miller-Rabin with d = 0 and halve it
+    # forever. _gen_prime never offers it, since it sets the top two bits.
+    candidates = [n for n in range(5000) if n != 1]
+    candidates += [rng.getrandbits(1024) | (1 << 1023) | 1 for _ in range(200)]
+    candidates += [2**521 - 1, 2**607 - 1, 2**1279 - 1]
+    primes = 0
+    for n in candidates:
+        new, old = ca_module._HashStream(b"mr"), ca_module._HashStream(b"mr")
+        verdict = ca_module._is_probable_prime(n, new)
+        assert verdict == _is_probable_prime_by_loop(n, old), n
+        assert new._counter == old._counter, n
+        primes += verdict
+    assert primes >= 300
