@@ -186,6 +186,9 @@ def _modexp(a: int, d: int, n: int) -> int:
 
 
 def _is_probable_prime(n: int, stream: _HashStream, rounds: int = 40) -> bool:
+    # Below 2 Miller-Rabin's set-up would halve d = n - 1 forever at n = 1.
+    if n < 2:
+        return False
     # One gcd stands in for trial division by each small prime in turn: that
     # loop returns n == p for the first p dividing n, which holds exactly
     # when n is itself one of the small primes.

@@ -248,6 +248,17 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i_idx, j_idx
 
 
+def _wrap360(v: np.ndarray) -> np.ndarray:
+    """``v % 360.0`` for every v in (-360, 720), without a float remainder.
+
+    There fmod returns v itself below 360 and v - 360 from 360 up (exact by
+    Sterbenz's lemma); the remainder then adds 360 to a negative result.
+    Adding 0.0 elsewhere turns -0.0 into the remainder's +0.0, so every
+    result is bit for bit ``v % 360.0``.
+    """
+    return v + ((v < 0.0) * 360.0 - (v >= 360.0) * 360.0)
+
+
 def extract_features(mset: MinutiaeSet, cfg: QuantizationConfig) -> FeatureBitString:
     """Fused extraction path: equivalent to binning ``all_pair_vectors`` but
     vectorized over all pairs; degenerate pairs are skipped.
@@ -263,6 +274,7 @@ def extract_features(mset: MinutiaeSet, cfg: QuantizationConfig) -> FeatureBitSt
     cos_t, sin_t = np.cos(rad), np.sin(rad)
 
     i_idx, j_idx = _pair_indices(len(mset.minutiae))
+    th_i, th_j = th[i_idx], th[j_idx]
     dx = xs[j_idx] - xs[i_idx]
     dy = ys[j_idx] - ys[i_idx]
     cos_i, sin_i = cos_t[i_idx], sin_t[i_idx]
@@ -270,14 +282,15 @@ def extract_features(mset: MinutiaeSet, cfg: QuantizationConfig) -> FeatureBitSt
     y = dx * sin_i - dy * cos_i
 
     valid = ~((x == 0.0) & (y == 0.0))
-    if not valid.any():
-        raise FeatureError("no valid pair vectors: all pairs coincident")
-    x, y = x[valid], y[valid]
+    if not valid.all():
+        if not valid.any():
+            raise FeatureError("no valid pair vectors: all pairs coincident")
+        x, y, th_i, th_j = x[valid], y[valid], th_i[valid], th_j[valid]
 
     length = np.hypot(x, y)
-    alpha = np.degrees(np.arctan2(y, x)) % 360.0
+    alpha = _wrap360(np.degrees(np.arctan2(y, x)))
     alpha[alpha >= 360.0] = 0.0
-    beta = (alpha + th[j_idx[valid]] - th[i_idx[valid]]) % 360.0
+    beta = _wrap360(alpha + th_j - th_i)
     beta[beta >= 360.0] = 0.0
 
     l_bins = 1 << cfg.n_l

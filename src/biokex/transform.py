@@ -10,18 +10,32 @@ unbiased whenever N divides 2**256 (true for all power-of-two N). For
 power-of-two N the reduction mod N is exactly the low log2(N) bits of the
 digest, so the arrangement takes them from each digest's last big-endian
 32-bit word instead of reducing the 256-bit integer.
+
+The digests are computed in-process by CPython's built-in SHA-256 (``_sha2``
+on 3.12+, ``_sha256`` before), falling back to ``hashlib.sha256`` where it is
+absent. SHA-256 is one function (FIPS 180-4) whichever code computes it, so
+the choice changes speed only: the arrangement hashes tens of thousands of
+short messages, and the built-in's per-call cost is lower than that of
+``hashlib``'s OpenSSL path.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import secrets
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from .features import FeatureBitString
 
@@ -116,11 +130,17 @@ def _digest_blocks(token: bytes, count: int) -> Iterator[bytes]:
 
     Yields the digests concatenated in blocks of at most ``_BLOCK``, so only
     one block's digest objects are alive at a time (this bounds peak memory).
+    Each block's messages are the rows of one uint8 array, read out as bytes
+    through a void view, which keeps trailing NUL bytes.
     """
-    sha256 = hashlib.sha256
+    width = len(token) + 8
+    prefix = np.frombuffer(token, dtype=np.uint8)
     for start in range(1, count + 1, _BLOCK):
-        counters = np.arange(start, min(start + _BLOCK, count + 1), dtype=">u8").tobytes()
-        yield b"".join([sha256(token + counters[k:k + 8]).digest() for k in range(0, len(counters), 8)])
+        stop = min(start + _BLOCK, count + 1)
+        msgs = np.empty((stop - start, width), dtype=np.uint8)
+        msgs[:, :-8] = prefix
+        msgs[:, -8:] = np.arange(start, stop, dtype=">u8").view(np.uint8).reshape(-1, 8)
+        yield b"".join([_sha256(m).digest() for m in msgs.view(f"V{width}").ravel().tolist()])
 
 
 def index_stream(key: TransformationKey, n: int, count: int) -> list[int]:
@@ -140,21 +160,6 @@ def index_stream(key: TransformationKey, n: int, count: int) -> list[int]:
     ]
 
 
-def _arrangement_from_stream(stream: list[int], n: int) -> np.ndarray:
-    """Final occupancy after the sequential swap loop.
-
-    Walks i = 1..n swapping positions i and stream[i-1] (both 1-based) in
-    order; entry p of the result is the source index whose bit ends up at
-    position p.
-    """
-    if len(stream) != n:
-        raise TransformError(f"need {n} stream indices, got {len(stream)}")
-    arr = list(range(n))
-    for i, j in enumerate(stream):
-        arr[i], arr[j - 1] = arr[j - 1], arr[i]
-    return np.array(arr, dtype=np.int32)
-
-
 @functools.lru_cache(maxsize=8)
 def _arrangement(token: bytes, n: int) -> np.ndarray:
     """Read-only arrangement for ``index_stream`` over [1, n] with n values.
@@ -169,11 +174,16 @@ def _arrangement(token: bytes, n: int) -> np.ndarray:
     low = np.concatenate(
         [np.frombuffer(block, dtype=">u4")[7::8] & (n - 1) for block in _digest_blocks(token, n)]
     )
-    stream = (low + 1).tolist()
+    stream = low.tolist()
     del low
-    arr = _arrangement_from_stream(stream, n)
-    arr.setflags(write=False)
-    return arr
+    # the swap walk of index_stream's 1-based values, with both positions 0-based:
+    # entry p is the source index whose bit ends up at position p
+    arr = list(range(n))
+    for i, j in enumerate(stream):
+        arr[i], arr[j] = arr[j], arr[i]
+    out = np.array(arr, dtype=np.int32)
+    out.setflags(write=False)
+    return out
 
 
 def permute(fbs: FeatureBitString, key: TransformationKey) -> RevocableTemplate:

@@ -329,10 +329,17 @@ def _is_probable_prime_by_loop(n, stream, rounds=40):
     return True
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_is_probable_prime_below_two(n):
+    stream = ca_module._HashStream(b"mr")
+    assert ca_module._is_probable_prime(n, stream) is False
+    assert stream._counter == 0
+
+
 def test_trial_division_by_gcd_matches_loop():
     rng = random.Random(1024)
-    # n = 1 is left out: both forms reach Miller-Rabin with d = 0 and halve it
-    # forever. _gen_prime never offers it, since it sets the top two bits.
+    # n = 1 is left out: the loop reaches Miller-Rabin with d = 0 and halves
+    # it forever. test_is_probable_prime_below_two covers it.
     candidates = [n for n in range(5000) if n != 1]
     candidates += [rng.getrandbits(1024) | (1 << 1023) | 1 for _ in range(200)]
     candidates += [2**521 - 1, 2**607 - 1, 2**1279 - 1]

@@ -18,6 +18,7 @@ from biokex.features import (
     pair_vector,
     quantize,
     quantize_code,
+    _wrap360,
 )
 from biokex.minutiae import Minutia, MinutiaeSet, synthesize_subject
 
@@ -256,6 +257,27 @@ def test_extract_features_frozen_reference(pinned_galleries, n_p, name):
     cfg = QuantizationConfig.for_np(n_p)
     blob = b"".join(extract_features(m, cfg).serialize() for m in pinned_galleries[name])
     assert hashlib.sha256(blob).hexdigest() == FEATURE_PINS[n_p, name]
+
+
+# the reduction's domain is (-360, 720): alpha from atan2 in degrees, and
+# alpha + theta_j - theta_i with every angle in [0, 360)
+WRAP_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 180.0, -180.0, 360.0,
+              359.99999999999994, -359.99999999999994, 719.9999999999999]
+wrap_values = st.one_of(
+    st.sampled_from(WRAP_EDGES),
+    st.integers(-359, 719).map(float),
+    st.integers(-359, 719).map(lambda k: math.nextafter(float(k), math.inf)),
+    st.integers(-359, 719).map(lambda k: math.nextafter(float(k), -math.inf)),
+    st.floats(-360.0, 720.0, exclude_min=True, exclude_max=True),
+)
+
+
+@given(st.lists(wrap_values, min_size=1, max_size=64))
+@settings(max_examples=300, deadline=None)
+def test_wrap360_equals_float_remainder(values):
+    v = np.array(values, dtype=np.float64)
+    # bit for bit, so the sign of a zero counts too
+    assert _wrap360(v).tobytes() == (v % 360.0).tobytes()
 
 
 @st.composite

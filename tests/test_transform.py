@@ -1,9 +1,12 @@
 import hashlib
+import importlib.util
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import biokex.transform as transform_module
 from biokex.features import FeatureBitString, QuantizationConfig, extract_features
 from biokex.minutiae import synthesize_subject
 from biokex.transform import (
@@ -11,7 +14,7 @@ from biokex.transform import (
     TransformationKey,
     TransformError,
     _arrangement,
-    _arrangement_from_stream,
+    _digest_blocks,
     index_stream,
     invert,
     permute,
@@ -30,6 +33,21 @@ ARRANGEMENT_SHA256 = {
     1 << 12: "ce65d20e5d2c5dd7968b3bbd1fabf23c74a77e18372018b87b8ea570d71aa291",
     1 << 15: "40463825cc64e0695373145c127548a9fa5f1c171afd2a21809d4be715cace8a",
 }
+
+
+def _arrangement_from_stream(stream: list[int], n: int) -> np.ndarray:
+    """Reference walk: final occupancy after the sequential swap loop.
+
+    Walks i = 1..n swapping positions i and stream[i-1] (both 1-based) in
+    order; entry p of the result is the source index whose bit ends up at
+    position p.
+    """
+    if len(stream) != n:
+        raise TransformError(f"need {n} stream indices, got {len(stream)}")
+    arr = list(range(n))
+    for i, j in enumerate(stream):
+        arr[i], arr[j - 1] = arr[j - 1], arr[i]
+    return np.array(arr, dtype=np.int32)
 
 
 def _random_fbs(rng, n_p=15, density=0.5):
@@ -54,6 +72,35 @@ def test_index_stream_crosses_digest_blocks():
     for i in (4095, 4096, 4097, 5000):
         digest = hashlib.sha256(TOKEN + i.to_bytes(8, "big")).digest()
         assert stream[i - 1] == 1 + int.from_bytes(digest, "big") % 1000
+
+
+@pytest.mark.parametrize("token_len", range(1, 81))
+def test_digest_blocks_match_hashlib(token_len):
+    # token || BE64(i) crosses SHA-256's one-to-two-block padding boundary at
+    # 56 bytes; the count crosses the 4096-counter hashing block, and every
+    # 256th counter ends the message in a NUL byte
+    token = bytes(range(token_len))
+    count = 4096 + token_len
+    expected = b"".join(
+        hashlib.sha256(token + i.to_bytes(8, "big")).digest() for i in range(1, count + 1)
+    )
+    assert b"".join(_digest_blocks(token, count)) == expected
+
+
+def test_arrangement_frozen_reference_through_hashlib_fallback(monkeypatch):
+    # a private copy of the module, imported with CPython's built-in SHA-256
+    # modules hidden, so its constructor is the hashlib fallback
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    spec = importlib.util.spec_from_file_location(
+        "biokex._transform_hashlib", transform_module.__file__)
+    fallback = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, fallback)
+    spec.loader.exec_module(fallback)
+    assert fallback._sha256 is hashlib.sha256
+    for n, digest in ARRANGEMENT_SHA256.items():
+        arr = fallback._arrangement(TOKEN, n)
+        assert hashlib.sha256(arr.astype("<i8").tobytes()).hexdigest() == digest
 
 
 def test_index_stream_deterministic_and_ranged():
