@@ -11,10 +11,10 @@ a SHA-256 counter stream checked by trial division and 40 Miller-Rabin
 rounds, and the resulting numbers are handed to ``cryptography`` for the
 actual RSA operations. Signing and verification therefore use the library
 code path; prime sampling is local, which is what makes seeded CA setup
-reproducible. Miller-Rabin's witness exponentiation runs in the OpenSSL
-that ``hashlib`` links (``BN_mod_exp_mont_consttime``, constant-time), with
-Python ``pow`` as the fallback where that library cannot be bound; both give
-the same numbers, so a seed gives the same key either way.
+reproducible. Miller-Rabin's witness exponentiation is
+:func:`biokex.keyagree.modexp`, the package's one modular exponentiation;
+its OpenSSL and ``pow`` paths give the same numbers, so a seed gives the
+same key either way.
 
 ``verify_certificate`` is pure and freely concurrent; ``CaRegistry.enroll``
 mutates the registry and follows a single-writer contract.
@@ -22,8 +22,6 @@ mutates the registry and follows a single-writer contract.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import hashlib
 import math
 import secrets
@@ -36,6 +34,8 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+from .keyagree import modexp
 
 __all__ = [
     "Identity",
@@ -95,7 +95,7 @@ class Identity:
 
 # --- deterministic prime sampling -----------------------------------------
 
-_SMALL_PRIMES = [p for p in range(3, 2000) if all(p % d for d in range(2, int(math.isqrt(p)) + 1))]
+_SMALL_PRIMES = [p for p in range(2, 2000) if all(p % d for d in range(2, int(math.isqrt(p)) + 1))]
 _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 
@@ -118,73 +118,6 @@ class _HashStream:
         return int.from_bytes(self.take((bits + 7) // 8), "big") % (1 << bits)
 
 
-@functools.cache
-def _libcrypto():
-    """Bind the OpenSSL BIGNUM calls :func:`_modexp` uses, once; None if unavailable.
-
-    ``dlsym`` on the ``_hashlib`` extension's handle also searches the
-    libcrypto it links, so this is the OpenSSL ``hashlib`` already loaded.
-    """
-    try:
-        import _hashlib
-
-        lib = ctypes.CDLL(_hashlib.__file__)
-        p, i = ctypes.c_void_p, ctypes.c_int
-        for name, restype, argtypes in (
-            ("BN_CTX_new", p, ()),
-            ("BN_CTX_free", None, (p,)),
-            ("BN_new", p, ()),
-            ("BN_clear_free", None, (p,)),
-            ("BN_bin2bn", p, (ctypes.c_char_p, i, p)),
-            ("BN_bn2binpad", i, (p, ctypes.c_char_p, i)),
-            ("BN_mod_exp_mont_consttime", i, (p, p, p, p, p, p)),
-            ("ERR_clear_error", None, ()),
-        ):
-            fn = getattr(lib, name)
-            fn.restype = restype
-            fn.argtypes = argtypes
-    except (ImportError, OSError, AttributeError):
-        return None
-    return lib
-
-
-def _modexp(a: int, d: int, n: int) -> int:
-    """``pow(a, d, n)`` for non-negative ``a``, ``d`` and ``n > 1``; in OpenSSL for odd ``n``.
-
-    Each call owns its ``BN_CTX`` and ``BIGNUM``s and clears them before
-    freeing, since ``n`` is a secret prime candidate; nothing is shared
-    between threads. Montgomery multiplication needs an odd modulus, so an
-    even ``n``, like every call when OpenSSL cannot be bound, uses ``pow``.
-    """
-    lib = _libcrypto()
-    if lib is None or n % 2 == 0:
-        return pow(a, d, n)
-    size = (n.bit_length() + 7) // 8
-    out = ctypes.create_string_buffer(size)
-    ctx = lib.BN_CTX_new()
-    nums = []
-    try:
-        for value in (a, d, n):
-            raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
-            nums.append(lib.BN_bin2bn(raw, len(raw), None))
-        result = lib.BN_new()
-        nums.append(result)
-        if not (
-            ctx
-            and all(nums)
-            and lib.BN_mod_exp_mont_consttime(result, *nums[:3], ctx, None)
-            and lib.BN_bn2binpad(result, out, size) == size
-        ):
-            lib.ERR_clear_error()
-            raise CaError("OpenSSL modular exponentiation failed")
-        return int.from_bytes(out.raw, "big")
-    finally:
-        # both free calls accept NULL
-        for num in nums:
-            lib.BN_clear_free(num)
-        lib.BN_CTX_free(ctx)
-
-
 def _is_probable_prime(n: int, stream: _HashStream, rounds: int = 40) -> bool:
     # Below 2 Miller-Rabin's set-up would halve d = n - 1 forever at n = 1.
     if n < 2:
@@ -201,7 +134,7 @@ def _is_probable_prime(n: int, stream: _HashStream, rounds: int = 40) -> bool:
         r += 1
     for _ in range(rounds):
         a = 2 + stream.take_int(n.bit_length() + 16) % (n - 3)
-        x = _modexp(a, d, n)
+        x = modexp(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):

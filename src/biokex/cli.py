@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, netsim
-from .ca import CaError, CaRegistry, Identity, RsaKeyPair
+from .ca import CaError, CaRegistry, RsaKeyPair
 from .features import FeatureError, QuantizationConfig, extract_features
 from .keyagree import RFC3526_2048, derive_private_key, public_key
 from .minutiae import (
@@ -122,14 +122,10 @@ def _cmd_enroll(args) -> int:
         print(f"error: no CA key at {key_path}; run ca-init first", file=sys.stderr)
         return EXIT_DATA
     registry = CaRegistry(RsaKeyPair.load_private(key_path), args.ca_dir / "registry.txt")
-    user_seed = int(np.random.SeedSequence(
-        [args.seed, int.from_bytes(hashlib.sha256(args.user_id.encode()).digest()[:4], "big")]
-    ).generate_state(1, np.uint64)[0])
-    keypair = RsaKeyPair.generate(user_seed)
-    cert = registry.enroll(Identity(args.user_id), keypair.public_der, now=args.time)
+    party = netsim.make_enrolled_party(registry, args.user_id, args.seed, now=args.time)
     cert_path = args.ca_dir / f"{args.user_id}.cert"
-    cert_path.write_bytes(cert.encode())
-    keypair.save_private(args.ca_dir / f"{args.user_id}_key.pem")
+    cert_path.write_bytes(party.certificate.encode())
+    party.keypair.save_private(args.ca_dir / f"{args.user_id}_key.pem")
     print(f"enrolled {args.user_id}; certificate at {cert_path}")
     return EXIT_OK
 

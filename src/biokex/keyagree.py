@@ -7,11 +7,12 @@ fixed-width 256-byte big-endian encoding, into the 32-byte session key.
 Fixed-width encoding matters: without it, implementations disagree on
 leading zero bytes and derive different keys from equal intermediates.
 
-Modular exponentiation takes one of two paths. In the RFC 3526 group it
-runs in OpenSSL, through the Diffie-Hellman primitive of ``cryptography``;
-every other group (the toy test group, custom group files) uses Python's
-``pow``, because OpenSSL refuses moduli under 512 bits and parameters it
-does not accept as a DH group. Both paths compute the same integers.
+Every modular exponentiation in the package, Diffie-Hellman here and the
+CA's Miller-Rabin witnesses, goes through :func:`modexp`. It runs in the
+OpenSSL that ``hashlib`` links (``BN_mod_exp_mont_consttime``) for any odd
+modulus, the toy test group included, and in Python ``pow`` for an even
+modulus or where that library cannot be bound. Both compute the same
+integers.
 
 All functions are pure and big-integer values immutable. No timing-channel
 resistance is claimed for the modular exponentiation.
@@ -19,11 +20,10 @@ resistance is claimed for the modular exponentiation.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 from dataclasses import dataclass
-from pathlib import Path
-
-from cryptography.hazmat.primitives.asymmetric import dh
 
 from .transform import RevocableTemplate
 
@@ -37,11 +37,10 @@ __all__ = [
     "RFC3526_MODP_2048_HEX",
     "RFC3526_2048",
     "derive_private_key",
+    "modexp",
     "public_key",
     "shared_secret",
     "session_key",
-    "load_group",
-    "save_group",
 ]
 
 PUBLIC_KEY_BYTES = 256
@@ -86,7 +85,6 @@ class DhGroup:
 
 
 RFC3526_2048 = DhGroup(q=int(RFC3526_MODP_2048_HEX, 16), alpha=2)
-_RFC3526_PARAMS = dh.DHParameterNumbers(RFC3526_2048.q, RFC3526_2048.alpha)
 
 
 @dataclass(frozen=True)
@@ -154,20 +152,78 @@ def derive_private_key(template: RevocableTemplate) -> PrivateKey:
     return PrivateKey(_exponent_from_digest(digest))
 
 
-def _modexp(group: DhGroup, base: int, exponent: int) -> int:
-    """base**exponent mod q; OpenSSL in the RFC 3526 group, ``pow`` elsewhere."""
-    if group != RFC3526_2048:
-        return pow(base, exponent, group.q)
-    # OpenSSL's derive reads only the private exponent x, so the public value
-    # paired with it here is a placeholder (the generator)
-    prv = dh.DHPrivateNumbers(exponent, dh.DHPublicNumbers(group.alpha, _RFC3526_PARAMS))
-    peer = dh.DHPublicNumbers(base, _RFC3526_PARAMS).public_key()
-    return int.from_bytes(prv.private_key().exchange(peer), "big")
+@functools.cache
+def _libcrypto():
+    """Bind the OpenSSL BIGNUM calls :func:`modexp` uses, once; None if unavailable.
+
+    ``dlsym`` on the ``_hashlib`` extension's handle also searches the
+    libcrypto it links, so this is the OpenSSL ``hashlib`` already loaded.
+    """
+    try:
+        import _hashlib
+
+        lib = ctypes.CDLL(_hashlib.__file__)
+        p, i = ctypes.c_void_p, ctypes.c_int
+        for name, restype, argtypes in (
+            ("BN_CTX_new", p, ()),
+            ("BN_CTX_free", None, (p,)),
+            ("BN_new", p, ()),
+            ("BN_clear_free", None, (p,)),
+            ("BN_bin2bn", p, (ctypes.c_char_p, i, p)),
+            ("BN_bn2binpad", i, (p, ctypes.c_char_p, i)),
+            ("BN_mod_exp_mont_consttime", i, (p, p, p, p, p, p)),
+            ("ERR_clear_error", None, ()),
+        ):
+            fn = getattr(lib, name)
+            fn.restype = restype
+            fn.argtypes = argtypes
+    except (ImportError, OSError, AttributeError):
+        return None
+    return lib
+
+
+def modexp(base: int, exponent: int, modulus: int) -> int:
+    """``pow(base, exponent, modulus)`` for non-negative operands and ``modulus > 1``.
+
+    Runs in OpenSSL for an odd modulus. Each call owns its ``BN_CTX`` and
+    ``BIGNUM``s and clears them before freeing, since the exponent is a
+    private key and the CA's moduli are secret prime candidates; nothing is
+    shared between threads. Montgomery multiplication needs an odd modulus,
+    so an even one, like every call when OpenSSL cannot be bound, uses
+    ``pow``.
+    """
+    lib = _libcrypto()
+    if lib is None or modulus % 2 == 0:
+        return pow(base, exponent, modulus)
+    size = (modulus.bit_length() + 7) // 8
+    out = ctypes.create_string_buffer(size)
+    ctx = lib.BN_CTX_new()
+    nums = []
+    try:
+        for value in (base, exponent, modulus):
+            raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
+            nums.append(lib.BN_bin2bn(raw, len(raw), None))
+        result = lib.BN_new()
+        nums.append(result)
+        if not (
+            ctx
+            and all(nums)
+            and lib.BN_mod_exp_mont_consttime(result, *nums[:3], ctx, None)
+            and lib.BN_bn2binpad(result, out, size) == size
+        ):
+            lib.ERR_clear_error()
+            raise KeyAgreementError("OpenSSL modular exponentiation failed")
+        return int.from_bytes(out.raw, "big")
+    finally:
+        # both free calls accept NULL
+        for num in nums:
+            lib.BN_clear_free(num)
+        lib.BN_CTX_free(ctx)
 
 
 def public_key(group: DhGroup, prv: PrivateKey) -> PublicKey:
-    """alpha**exponent mod q (the exchange with alpha as the peer value)."""
-    return PublicKey(_modexp(group, group.alpha, prv.exponent))
+    """alpha**exponent mod q."""
+    return PublicKey(modexp(group.alpha, prv.exponent, group.q))
 
 
 def shared_secret(group: DhGroup, prv: PrivateKey, other_pub: PublicKey) -> int:
@@ -179,7 +235,7 @@ def shared_secret(group: DhGroup, prv: PrivateKey, other_pub: PublicKey) -> int:
     v = other_pub.value
     if v <= 1 or v >= group.q - 1:
         raise DegenerateKeyError(f"degenerate peer public value {v if v < 10 else 'q-1 or larger'}")
-    return _modexp(group, v, prv.exponent)
+    return modexp(v, prv.exponent, group.q)
 
 
 def session_key(intermediate: int, session_id: int) -> SessionKey:
@@ -190,18 +246,3 @@ def session_key(intermediate: int, session_id: int) -> SessionKey:
         raise KeyAgreementError("intermediate exceeds the 2048-bit encoding width")
     key = hashlib.sha256(intermediate.to_bytes(PUBLIC_KEY_BYTES, "big")).digest()
     return SessionKey(key, session_id)
-
-
-def save_group(group: DhGroup, path: str | Path) -> None:
-    """Two-line text form: hex modulus, decimal generator."""
-    Path(path).write_text(f"{group.q:X}\n{group.alpha}\n", encoding="utf-8")
-
-
-def load_group(path: str | Path) -> DhGroup:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if len(lines) < 2:
-        raise KeyAgreementError(f"{path}: expected hex modulus line and generator line")
-    try:
-        return DhGroup(q=int(lines[0].strip(), 16), alpha=int(lines[1].strip()))
-    except ValueError:
-        raise KeyAgreementError(f"{path}: malformed group file") from None

@@ -207,7 +207,7 @@ def make_enrolled_party(
     n_minutiae: int = 30,
     width: int = 388,
     height: int = 374,
-    now: int = 0,
+    now: int | None = 0,
 ) -> PartyConfig:
     """Synthesize a subject, generate an RSA pair, and enroll with the CA."""
     uid_tag = int.from_bytes(hashlib.sha256(user_id.encode("utf-8")).digest()[:4], "big")

@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from biokex import netsim
+from biokex import keyagree, netsim
 from biokex.features import QuantizationConfig
 from biokex.minutiae import (
     Minutia,
@@ -27,6 +29,16 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _acceptance_lines:
             terminalreporter.line(line)
+
+
+@pytest.fixture
+def without_openssl(monkeypatch):
+    """Hide ``_hashlib`` so the binding fails and ``modexp`` falls back to ``pow``."""
+    keyagree._libcrypto.cache_clear()
+    monkeypatch.setitem(sys.modules, "_hashlib", None)
+    assert keyagree._libcrypto() is None
+    yield
+    keyagree._libcrypto.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,9 @@
 import hashlib
+import math
 import random
-import sys
 
 import pytest
 from cryptography.hazmat.primitives import serialization
-from hypothesis import example, given, settings, strategies as st
 
 from biokex import ca as ca_module
 from biokex.ca import (
@@ -224,20 +223,6 @@ def keygen_digests(seed: int) -> tuple[str, str]:
     return hashlib.sha256(key.public_der).hexdigest(), hashlib.sha256(private_der).hexdigest()
 
 
-@pytest.fixture
-def without_openssl(monkeypatch):
-    """Hide ``_hashlib`` so the binding fails and ``_modexp`` falls back to ``pow``."""
-    ca_module._libcrypto.cache_clear()
-    monkeypatch.setitem(sys.modules, "_hashlib", None)
-    assert ca_module._libcrypto() is None
-    yield
-    ca_module._libcrypto.cache_clear()
-
-
-def test_openssl_binding_resolves():
-    assert ca_module._libcrypto() is not None
-
-
 @pytest.mark.parametrize("seed", sorted(FROZEN_KEYGEN))
 def test_seeded_keygen_frozen_reference(seed):
     assert keygen_digests(seed) == FROZEN_KEYGEN[seed]
@@ -245,63 +230,6 @@ def test_seeded_keygen_frozen_reference(seed):
 
 def test_seeded_keygen_frozen_reference_without_openssl(without_openssl):
     assert {seed: keygen_digests(seed) for seed in FROZEN_KEYGEN} == FROZEN_KEYGEN
-
-
-def test_missing_symbol_falls_back_to_pow(monkeypatch):
-    class NoSymbols:
-        def __init__(self, path):
-            pass
-
-    ca_module._libcrypto.cache_clear()
-    monkeypatch.setattr(ca_module.ctypes, "CDLL", NoSymbols)
-    try:
-        assert ca_module._libcrypto() is None
-        assert ca_module._modexp(3, 2**200 + 1, 2**127 - 1) == pow(3, 2**200 + 1, 2**127 - 1)
-    finally:
-        ca_module._libcrypto.cache_clear()
-
-
-def test_modexp_failure_raises(monkeypatch):
-    lib = ca_module._libcrypto()
-
-    class FailingExp:
-        def __getattr__(self, name):
-            return getattr(lib, name)
-
-        def BN_mod_exp_mont_consttime(self, *args):
-            return 0
-
-    monkeypatch.setattr(ca_module, "_libcrypto", lambda: FailingExp())
-    with pytest.raises(CaError, match="modular exponentiation failed"):
-        ca_module._modexp(2, 5, 7)
-
-
-@st.composite
-def modexp_operands(draw):
-    m = 2 * draw(st.integers(1, 2**1099 - 1)) + 1
-    e = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 2**1100)))
-    a = draw(
-        st.one_of(
-            st.sampled_from([0, 1, m - 1]),
-            st.integers(0, m - 1),
-            st.integers(m, 4 * m),
-        )
-    )
-    return a, e, m
-
-
-@given(modexp_operands())
-@example((0, 0, 3))
-@example((0, 1, 3))
-@example((1, 2**1100, 3))
-@example((2, 0, 3))
-@example((5, 7, 3))
-@example((2**1100 - 2, 2**1100, 2**1100 - 1))
-@example((2**1200, 2**1100, 2**1100 - 1))
-@settings(max_examples=300, deadline=None)
-def test_modexp_matches_pow(operands):
-    a, e, m = operands
-    assert ca_module._modexp(a, e, m) == pow(a, e, m)
 
 
 def _is_probable_prime_by_loop(n, stream, rounds=40):
@@ -327,6 +255,17 @@ def _is_probable_prime_by_loop(n, stream, rounds=40):
         else:
             return False
     return True
+
+
+def test_is_probable_prime_matches_sieve():
+    limit = 2000
+    sieve = [True] * limit
+    sieve[0] = sieve[1] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(range(p * p, limit, p))
+    for n in range(2, limit):
+        assert ca_module._is_probable_prime(n, ca_module._HashStream(b"mr")) is sieve[n], n
 
 
 @pytest.mark.parametrize("n", [-1, 0, 1])

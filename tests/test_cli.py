@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -132,9 +133,21 @@ def test_attack_requires_scenario(tmp_path):
     assert proc.returncode == EXIT_USAGE
 
 
+# stdout of `biokex keygen --seed 3`, pinned before Diffie-Hellman moved off
+# the `cryptography` DH exchange onto the shared OpenSSL modexp binding
+KEYGEN_SEED3_STDOUT = """\
+minutiae=30 pairs=435 popcount=433 bits=32768
+features_digest=738a5ce9f250920cb4c7159a6e8f415f782847f78f4191b346ca52dbe2993add
+template_digest=69f9f9e04cf1e14ff831fe7a73a3097790c45150af5ef22b8093a08efb28d94e
+private_key_fingerprint=6f615182082f365a7874376c87bdfcfec047c9f2137b11ee4c1f74822b6fb7c0
+public_key_fingerprint=f0e4325560be177b16b405b127e8620e11249c00f1cd5ccf71605b4f88345f1e
+"""
+
+
 def test_keygen_prints_digests_only(tmp_path):
     proc = run_cli(["keygen", "--seed", "3"], tmp_path)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == KEYGEN_SEED3_STDOUT
     digests = re.findall(r"=([0-9a-f]{64})$", proc.stdout, flags=re.M)
     assert len(digests) == 4  # features, template, private, public
     # nothing resembling raw template material (kilobytes of hex) in output
@@ -155,6 +168,15 @@ def test_keygen_missing_file_is_data_error(tmp_path):
     assert proc.returncode == EXIT_DATA
 
 
+# SHA-256 of `ca-init --seed 5` then `enroll --user-id alice --seed 6
+# --time 1700000000`, pinned while enroll still derived its RSA seed itself
+ENROLL_SHA256 = {
+    "ca/alice.cert": "7bee9ade45a1422bc20116a2fe59eea5ff0a7566eae3aed989f74df26c33a054",
+    "ca/alice_key.pem": "3c89decd1f732ae2891a1de3e252a9e98ba496a6a10fc8641dbce15784b42eaf",
+    "ca/registry.txt": "5f3db31178eabe62c87b355f8dc8c29dfea471a3bdf234e188aeeca0c3b90405",
+}
+
+
 def test_ca_init_and_enroll_deterministic(tmp_path):
     for d in ("one", "two"):
         base = tmp_path / d
@@ -169,6 +191,8 @@ def test_ca_init_and_enroll_deterministic(tmp_path):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
     registry_line = (tmp_path / "one/ca/registry.txt").read_text().strip()
     assert registry_line.startswith("alice ") and registry_line.endswith(" 1700000000")
+    for name, digest in ENROLL_SHA256.items():
+        assert hashlib.sha256((tmp_path / "one" / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_enroll_duplicate_user_is_data_error(tmp_path):
@@ -211,7 +235,12 @@ def test_session_transcript_export(tmp_path):
         ["session", "--seed", "11", "--out", "s.txt", "--transcript-out", "t.txt"], tmp_path
     )
     assert proc.returncode == 0, proc.stderr
-    lines = (tmp_path / "t.txt").read_text().splitlines()
+    transcript = (tmp_path / "t.txt").read_bytes()
+    # pinned before Diffie-Hellman moved onto the shared OpenSSL modexp binding
+    assert hashlib.sha256(transcript).hexdigest() == (
+        "72192a7addcc9c8be182fcdfdd4c71ea15efc91ec8f885e6a72ee905c07b421d"
+    )
+    lines = transcript.decode().splitlines()
     assert len(lines) >= 6  # two certs, two pubs, two data frames
     for line in lines:
         direction, hexframe = line.split()

@@ -2,7 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from biokex import keyagree as keyagree_module
 from biokex.features import FeatureBitString
 from biokex.keyagree import (
     DegenerateKeyError,
@@ -15,9 +17,8 @@ from biokex.keyagree import (
     SessionKey,
     _exponent_from_digest,
     derive_private_key,
-    load_group,
+    modexp,
     public_key,
-    save_group,
     session_key,
     shared_secret,
 )
@@ -96,13 +97,83 @@ def _modexp_exponents():
     ]
 
 
-@pytest.mark.parametrize("exponent", _modexp_exponents())
-def test_rfc3526_modexp_matches_pow(exponent):
+def _assert_rfc3526_matches_pow(exponent):
     q = RFC3526_2048.q
     prv = PrivateKey(exponent)
     peer = pow(3, exponent ^ 0x5A5A, q)
     assert public_key(RFC3526_2048, prv).value == pow(2, exponent, q)
     assert shared_secret(RFC3526_2048, prv, PublicKey(peer)) == pow(peer, exponent, q)
+
+
+@pytest.mark.parametrize("exponent", _modexp_exponents())
+def test_rfc3526_modexp_matches_pow(exponent):
+    _assert_rfc3526_matches_pow(exponent)
+
+
+def test_rfc3526_modexp_matches_pow_without_openssl(without_openssl):
+    for param in _modexp_exponents():
+        _assert_rfc3526_matches_pow(*param.values)
+
+
+def test_openssl_binding_resolves():
+    assert keyagree_module._libcrypto() is not None
+
+
+def test_missing_symbol_falls_back_to_pow(monkeypatch):
+    class NoSymbols:
+        def __init__(self, path):
+            pass
+
+    keyagree_module._libcrypto.cache_clear()
+    monkeypatch.setattr(keyagree_module.ctypes, "CDLL", NoSymbols)
+    try:
+        assert keyagree_module._libcrypto() is None
+        assert modexp(3, 2**200 + 1, 2**127 - 1) == pow(3, 2**200 + 1, 2**127 - 1)
+    finally:
+        keyagree_module._libcrypto.cache_clear()
+
+
+def test_modexp_failure_raises(monkeypatch):
+    lib = keyagree_module._libcrypto()
+
+    class FailingExp:
+        def __getattr__(self, name):
+            return getattr(lib, name)
+
+        def BN_mod_exp_mont_consttime(self, *args):
+            return 0
+
+    monkeypatch.setattr(keyagree_module, "_libcrypto", lambda: FailingExp())
+    with pytest.raises(KeyAgreementError, match="modular exponentiation failed"):
+        modexp(2, 5, 7)
+
+
+@st.composite
+def modexp_operands(draw):
+    m = 2 * draw(st.integers(1, 2**1099 - 1)) + 1
+    e = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 2**1100)))
+    a = draw(
+        st.one_of(
+            st.sampled_from([0, 1, m - 1]),
+            st.integers(0, m - 1),
+            st.integers(m, 4 * m),
+        )
+    )
+    return a, e, m
+
+
+@given(modexp_operands())
+@example((0, 0, 3))
+@example((0, 1, 3))
+@example((1, 2**1100, 3))
+@example((2, 0, 3))
+@example((5, 7, 3))
+@example((2**1100 - 2, 2**1100, 2**1100 - 1))
+@example((2**1200, 2**1100, 2**1100 - 1))
+@settings(max_examples=300, deadline=None)
+def test_modexp_matches_pow(operands):
+    a, e, m = operands
+    assert modexp(a, e, m) == pow(a, e, m)
 
 
 @pytest.mark.parametrize(
@@ -216,14 +287,6 @@ def test_private_key_is_256_bit_space():
     with pytest.raises(KeyAgreementError):
         PrivateKey(1 << 256)
     assert PrivateKey((1 << 256) - 1).to_bytes() == b"\xff" * 32
-
-
-def test_group_file_roundtrip(tmp_path):
-    path = tmp_path / "group.txt"
-    save_group(TOY, path)
-    assert load_group(path) == TOY
-    save_group(RFC3526_2048, path)
-    assert load_group(path) == RFC3526_2048
 
 
 def test_group_validation():
