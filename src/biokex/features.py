@@ -8,6 +8,11 @@ of the impression. Each triplet quantizes to an n_p-bit code
 (L bits, alpha bits, beta bits concatenated most-significant-field first)
 and the codes index a 2**n_p-long bit string: a bin is 1 iff at least one
 pair lands in it.
+
+:func:`extract_features` is the fast path over all pairs at once. It bins L
+from ``sqrt(x*x + y*y)`` and falls back to ``hypot`` wherever that could
+move a bin, so its bits equal those of ``hypot``; alpha and beta are
+computed exactly as :func:`pair_triplet` orders them.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -248,15 +254,18 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i_idx, j_idx
 
 
-def _wrap360(v: np.ndarray) -> np.ndarray:
-    """``v % 360.0`` for every v in (-360, 720), without a float remainder.
+def _wrap360(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``v % 360.0`` into ``out`` (not ``v``) for every v in (-360, 720),
+    without a float remainder.
 
     There fmod returns v itself below 360 and v - 360 from 360 up (exact by
     Sterbenz's lemma); the remainder then adds 360 to a negative result.
     Adding 0.0 elsewhere turns -0.0 into the remainder's +0.0, so every
     result is bit for bit ``v % 360.0``.
     """
-    return v + ((v < 0.0) * 360.0 - (v >= 360.0) * 360.0)
+    np.subtract(v < 0.0, v >= 360.0, out=out, dtype=np.float64)
+    out *= 360.0
+    return np.add(v, out, out=out)
 
 
 def extract_features(mset: MinutiaeSet, cfg: QuantizationConfig) -> FeatureBitString:
@@ -264,42 +273,73 @@ def extract_features(mset: MinutiaeSet, cfg: QuantizationConfig) -> FeatureBitSt
     vectorized over all pairs; degenerate pairs are skipped.
 
     Radians, cosine and sine are computed once per minutia and gathered per
-    pair; every per-pair operation keeps :func:`pair_triplet`'s operands and
-    order, so the bits equal the per-pair path's.
+    pair. The projection, alpha and beta keep :func:`pair_triplet`'s operands
+    and order, computed in place in five pair-length buffers. L is binned
+    from ``sqrt(x*x + y*y)``, which lies within a few ulps of ``hypot(x, y)``;
+    where the quotient by the bin width is within 1e-9 (relative) of an
+    integer, or not finite, L is recomputed with ``hypot``, so every L bin is
+    the one ``hypot`` gives. So the bits equal the per-pair path's.
     """
-    xs, ys, th = np.array(
-        [(m.x, m.y, m.theta) for m in mset.minutiae], dtype=np.float64
-    ).T
+    ms = mset.minutiae
+    n = len(ms)
+    xs, ys, th = np.fromiter(chain.from_iterable(ms), np.float64, 3 * n).reshape(n, 3).T
     rad = np.radians(th)
     cos_t, sin_t = np.cos(rad), np.sin(rad)
 
-    i_idx, j_idx = _pair_indices(len(mset.minutiae))
-    th_i, th_j = th[i_idx], th[j_idx]
-    dx = xs[j_idx] - xs[i_idx]
-    dy = ys[j_idx] - ys[i_idx]
-    cos_i, sin_i = cos_t[i_idx], sin_t[i_idx]
-    x = dx * cos_i + dy * sin_i
-    y = dx * sin_i - dy * cos_i
+    i_idx, j_idx = _pair_indices(n)
+    x, y, c, s, w = np.empty((5, len(i_idx)))
+    # the indices are in range; mode "clip" lets take write straight into out
+    np.subtract(xs.take(j_idx, out=x, mode="clip"), xs.take(i_idx, out=c, mode="clip"), out=x)
+    np.subtract(ys.take(j_idx, out=y, mode="clip"), ys.take(i_idx, out=c, mode="clip"), out=y)
+    # now x, y hold dx, dy; project them into minutia i's frame
+    cos_t.take(i_idx, out=c, mode="clip")
+    sin_t.take(i_idx, out=s, mode="clip")
+    np.multiply(x, s, out=w)
+    x *= c
+    s *= y
+    x += s  # dx*cos_i + dy*sin_i
+    c *= y
+    w -= c  # dx*sin_i - dy*cos_i
+    y, free = w, (y, c, s)  # dy, cos_i, sin_i are dead
 
-    valid = ~((x == 0.0) & (y == 0.0))
-    if not valid.all():
+    degenerate = x == 0.0
+    degenerate &= y == 0.0
+    if degenerate.any():
+        valid = ~degenerate
         if not valid.any():
             raise FeatureError("no valid pair vectors: all pairs coincident")
-        x, y, th_i, th_j = x[valid], y[valid], th_i[valid], th_j[valid]
-
-    length = np.hypot(x, y)
-    alpha = _wrap360(np.degrees(np.arctan2(y, x)))
-    alpha[alpha >= 360.0] = 0.0
-    beta = _wrap360(alpha + th_j - th_i)
-    beta[beta >= 360.0] = 0.0
+        x, y, i_idx, j_idx = x[valid], y[valid], i_idx[valid], j_idx[valid]
+    a, b, c = (f[: len(x)] for f in free)
 
     l_bins = 1 << cfg.n_l
     a_bins = 1 << cfg.n_alpha
     b_bins = 1 << cfg.n_beta
-    l_bin = np.minimum((length / (cfg.l_max / l_bins)).astype(np.int64), l_bins - 1)
-    a_bin = np.minimum((alpha / (360.0 / a_bins)).astype(np.int64), a_bins - 1)
-    b_bin = np.minimum((beta / (360.0 / b_bins)).astype(np.int64), b_bins - 1)
-    codes = (l_bin << (cfg.n_alpha + cfg.n_beta)) | (a_bin << cfg.n_beta) | b_bin
+    l_width = cfg.l_max / l_bins
+    np.multiply(x, x, out=a)
+    a += np.multiply(y, y, out=b)
+    np.sqrt(a, out=a)
+    a /= l_width
+    # division is monotone, so the sqrt and hypot quotients straddle an
+    # integer only within a few ulps of it; NaN compares false, so falls back
+    np.subtract(a, np.rint(a, out=b), out=b)
+    np.abs(b, out=b)
+    near = ~(b > np.multiply(a, 1e-9, out=c))
+    if near.any():
+        a[near] = np.hypot(x[near], y[near]) / l_width
+    l_bin = np.minimum(a, l_bins - 1, out=a).astype(np.int32)
+
+    alpha = _wrap360(np.degrees(np.arctan2(y, x, out=b), out=b), out=a)
+    alpha[alpha >= 360.0] = 0.0
+    beta = np.add(alpha, th.take(j_idx, out=b, mode="clip"), out=b)
+    beta -= th.take(i_idx, out=c, mode="clip")
+    beta = _wrap360(beta, out=c)
+    beta[beta >= 360.0] = 0.0
+
+    alpha /= 360.0 / a_bins
+    beta /= 360.0 / b_bins
+    codes = l_bin << (cfg.n_alpha + cfg.n_beta)
+    codes |= np.minimum(alpha, a_bins - 1, out=alpha).astype(np.int32) << cfg.n_beta
+    codes |= np.minimum(beta, b_bins - 1, out=beta).astype(np.int32)
 
     bits = np.zeros(1 << cfg.n_p, dtype=np.uint8)
     bits[codes] = 1

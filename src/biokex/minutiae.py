@@ -7,19 +7,25 @@ image processing is out of scope. The text format is the ingestion boundary:
     following lines:   "<x> <y> <theta>"   (integer x, y; decimal theta)
     lines starting "#" are ignored; encoding is UTF-8 with LF line endings.
 
-Angles are degrees, normalized into [0, 360) at parse time. All types are
-immutable after construction and every operation here is a pure function,
-so concurrent use needs no locking.
+Angles are degrees, normalized into [0, 360) at parse time. Widths, heights
+and coordinates are at most ``MAX_COORDINATE`` (2**31 - 1). A
+:class:`Minutia` is a validated ``(x, y, theta)`` named tuple, so it equals
+the plain tuple of its fields and carries no per-instance ``__dict__``. All
+types are immutable after construction and every operation here is a pure
+function, so concurrent use needs no locking.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 __all__ = [
+    "MAX_COORDINATE",
     "Minutia",
     "MinutiaeSet",
     "PerturbationProfile",
@@ -33,6 +39,11 @@ __all__ = [
     "perturb",
     "synthesize_dataset",
 ]
+
+
+# Largest accepted image width, height and coordinate. Keeps every coordinate
+# difference exact in float64 and every pair length far from overflow.
+MAX_COORDINATE = 2**31 - 1
 
 
 class MinutiaeError(ValueError):
@@ -60,22 +71,29 @@ def normalize_degrees(theta: float) -> float:
     return 0.0 if t >= 360.0 else t
 
 
-@dataclass(frozen=True)
-class Minutia:
-    """A single ridge feature: pixel position plus orientation in degrees."""
+class Minutia(namedtuple("Minutia", "x y theta")):
+    """A single ridge feature: pixel position plus orientation in degrees.
 
-    x: int
-    y: int
-    theta: float
+    An immutable ``(x, y, theta)`` tuple: x and y coerce to ``int`` in
+    [0, MAX_COORDINATE], theta to ``float`` in [0, 360). As a tuple it has no
+    per-instance ``__dict__``, and it equals the plain tuple of its fields.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", int(self.x))
-        object.__setattr__(self, "y", int(self.y))
-        object.__setattr__(self, "theta", float(self.theta))
-        if self.x < 0 or self.y < 0:
-            raise MinutiaeError(f"negative coordinate ({self.x}, {self.y})")
-        if not math.isfinite(self.theta) or not 0.0 <= self.theta < 360.0:
-            raise MinutiaeError(f"theta {self.theta!r} not in [0, 360)")
+    __slots__ = ()
+
+    def __new__(cls, x, y, theta):
+        x, y, theta = int(x), int(y), float(theta)
+        if not (0 <= x <= MAX_COORDINATE and 0 <= y <= MAX_COORDINATE):
+            raise MinutiaeError(f"coordinate ({x}, {y}) outside [0, {MAX_COORDINATE}]")
+        # also false for NaN and both infinities
+        if not 0.0 <= theta < 360.0:
+            raise MinutiaeError(f"theta {theta!r} not in [0, 360)")
+        return tuple.__new__(cls, (x, y, theta))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the namedtuple default skips __new__; ``_replace`` also goes through here
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -96,6 +114,10 @@ class MinutiaeSet:
         object.__setattr__(self, "minutiae", tuple(self.minutiae))
         if self.width <= 0 or self.height <= 0:
             raise MinutiaeError(f"non-positive image size {self.width}x{self.height}")
+        if self.width > MAX_COORDINATE or self.height > MAX_COORDINATE:
+            raise MinutiaeError(
+                f"image size {self.width}x{self.height} above {MAX_COORDINATE}"
+            )
         if len(self.minutiae) < 2:
             raise InsufficientMinutiaeError(
                 f"insufficient minutiae: found {len(self.minutiae)}, need at least 2"
@@ -106,10 +128,9 @@ class MinutiaeSet:
                 raise MinutiaeError(
                     f"minutia ({m.x}, {m.y}) outside {self.width}x{self.height} image"
                 )
-            key = (m.x, m.y, m.theta)
-            if key in seen:
-                raise MinutiaeError(f"duplicate minutia {key}")
-            seen.add(key)
+            if m in seen:
+                raise MinutiaeError(f"duplicate minutia {tuple(m)}")
+            seen.add(m)
 
     def __len__(self) -> int:
         return len(self.minutiae)
@@ -175,6 +196,10 @@ def parse_minutiae_file(
         raise MinutiaeParseError(1, f"malformed header: non-numeric {lines[0]!r}") from None
     if width <= 0 or height <= 0:
         raise MinutiaeParseError(1, f"malformed header: non-positive size {width}x{height}")
+    if width > MAX_COORDINATE or height > MAX_COORDINATE:
+        raise MinutiaeParseError(
+            1, f"malformed header: size {width}x{height} above {MAX_COORDINATE}"
+        )
 
     minutiae: list[Minutia] = []
     seen: set[tuple[int, int, float]] = set()
@@ -269,7 +294,7 @@ def _perturbed_minutiae(mset: MinutiaeSet, profile: PerturbationProfile) -> tupl
     """The minutiae of ``perturb(mset, profile)``, not yet wrapped in a set."""
     rng = np.random.default_rng(np.random.SeedSequence(profile.rng_seed))
     n = len(mset.minutiae)
-    pts = np.array([(m.x, m.y, m.theta) for m in mset.minutiae], dtype=np.float64)
+    pts = np.fromiter(chain.from_iterable(mset.minutiae), np.float64, 3 * n).reshape(n, 3)
 
     dx = rng.normal(0.0, profile.translation_sigma, size=n)
     dy = rng.normal(0.0, profile.translation_sigma, size=n)

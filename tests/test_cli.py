@@ -163,6 +163,17 @@ def test_keygen_from_minutiae_file(tmp_path):
     assert "minutiae=20" in proc.stdout
 
 
+@pytest.mark.parametrize("header, row", [(b"388 374", b"%d 5 10" % 10**400),
+                                         (b"%d 374" % 10**400, b"%d 5 10" % 10**400),
+                                         (b"%d 374" % 2**31, b"2147483648 5 10")])
+def test_keygen_rejects_oversized_coordinates(tmp_path, header, row):
+    (tmp_path / "big.txt").write_bytes(header + b"\n" + row + b"\n3 4 20\n")
+    proc = run_cli(["keygen", "--minutiae-file", "big.txt", "--seed", "3"], tmp_path)
+    assert proc.returncode == EXIT_DATA == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "line" in proc.stderr
+
+
 def test_keygen_missing_file_is_data_error(tmp_path):
     proc = run_cli(["keygen", "--minutiae-file", "absent.txt"], tmp_path)
     assert proc.returncode == EXIT_DATA

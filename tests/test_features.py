@@ -20,7 +20,7 @@ from biokex.features import (
     quantize_code,
     _wrap360,
 )
-from biokex.minutiae import Minutia, MinutiaeSet, synthesize_subject
+from biokex.minutiae import MAX_COORDINATE, Minutia, MinutiaeSet, synthesize_subject
 
 # hand trigonometry oracle: dx=3, dy=4, theta_i=0 gives X=3, Y=-4,
 # atan2(-4, 3) = -53.1301...deg -> alpha 306.8699, beta = alpha + 90
@@ -276,8 +276,10 @@ wrap_values = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_wrap360_equals_float_remainder(values):
     v = np.array(values, dtype=np.float64)
+    out = np.empty_like(v)
+    assert _wrap360(v, out) is out
     # bit for bit, so the sign of a zero counts too
-    assert _wrap360(v).tobytes() == (v % 360.0).tobytes()
+    assert out.tobytes() == (v % 360.0).tobytes()
 
 
 @st.composite
@@ -300,7 +302,8 @@ def crowded_sets(draw):
 
 
 def extract_features_per_pair_trig(mset, cfg):
-    """Reference extraction: radians, cosine and sine evaluated per pair."""
+    """Reference extraction: radians, cosine and sine evaluated per pair, L
+    from ``np.hypot``, angles reduced with ``%``, all in fresh arrays."""
     xs = np.array([m.x for m in mset.minutiae], dtype=np.float64)
     ys = np.array([m.y for m in mset.minutiae], dtype=np.float64)
     th = np.array([m.theta for m in mset.minutiae], dtype=np.float64)
@@ -344,3 +347,77 @@ def test_extract_matches_per_pair_trig(mset, n_p):
             extract_features(mset, cfg)
         return
     assert extract_features(mset, cfg) == expected
+
+
+@st.composite
+def crowded_integer_degree_sets(draw):
+    # integer angles, as real minutiae files often carry, put many triplets
+    # exactly on bin edges, and a small image crowds lengths onto the L edges
+    side = draw(st.integers(1, 200))
+    pts = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, side),
+                st.integers(0, side),
+                st.integers(0, 359).map(float),
+            ),
+            min_size=2,
+            max_size=60,
+            unique=True,
+        )
+    )
+    return MinutiaeSet("c", 0, side, side, tuple(Minutia(*p) for p in pts))
+
+
+@given(crowded_integer_degree_sets(), st.sampled_from([12, 15]))
+@settings(max_examples=200, deadline=None)
+def test_extract_matches_hypot_reference_on_integer_degrees(mset, n_p):
+    cfg = QuantizationConfig.for_np(n_p)
+    try:
+        expected = extract_features_per_pair_trig(mset, cfg)
+    except FeatureError:
+        with pytest.raises(FeatureError):
+            extract_features(mset, cfg)
+        return
+    assert extract_features(mset, cfg) == expected
+
+
+# offsets of length exactly 135: 8 bin widths of 16.875 at n_p=15 and 4 of
+# 33.75 at n_p=12. At theta_i 3, 6 and 31 (among others) sqrt(x*x + y*y) and
+# hypot(x, y) round to opposite sides of that edge for some of them: (81, -108)
+# at 31 gives 135.0 against 134.99999999999997
+LENGTH_EDGE_OFFSETS = [(sx * dx, sy * dy) for dx, dy in [(81, 108), (108, 81)]
+                       for sx in (1, -1) for sy in (1, -1)] + [(135, 0), (-135, 0), (0, 135), (0, -135)]
+
+
+@pytest.mark.parametrize("theta", [0.0, 90.0, 180.0, 270.0, 3.0, 6.0, 31.0])
+@pytest.mark.parametrize("n_p", [12, 15])
+def test_extract_matches_hypot_reference_on_length_edges(theta, n_p):
+    cfg = QuantizationConfig.for_np(n_p)
+    mset = MinutiaeSet(
+        "e", 0, 600, 600,
+        (Minutia(300, 300, theta),)
+        + tuple(Minutia(300 + dx, 300 + dy, 0.0) for dx, dy in LENGTH_EDGE_OFFSETS),
+    )
+    assert extract_features(mset, cfg) == extract_features_per_pair_trig(mset, cfg)
+
+
+@pytest.mark.parametrize("l_max", [540.0, 6.0e9, 2.0 ** 31 * 1.5])
+def test_extract_matches_hypot_reference_at_the_coordinate_bound(l_max):
+    b = MAX_COORDINATE
+    corners = [(0, 0), (b, b), (b, 0), (0, b), (b // 2, b // 3), (b - 1, b)]
+    mset = MinutiaeSet(
+        "b", 0, b, b, tuple(Minutia(x, y, 45.0 * k) for k, (x, y) in enumerate(corners))
+    )
+    for n_p in (12, 15, 24):
+        cfg = QuantizationConfig.for_np(n_p, l_max=l_max)
+        assert extract_features(mset, cfg) == extract_features_per_pair_trig(mset, cfg)
+
+
+@pytest.mark.parametrize("l_max", [1e-12, 1e-300])
+def test_extract_clamps_huge_length_quotients_into_top_bin(l_max):
+    # a quotient beyond the int64 range must clamp like any other distance
+    # at or beyond l_max, not wrap through an overflowing integer cast
+    cfg = QuantizationConfig(l_max=l_max)
+    codes = np.flatnonzero(extract_features(synthesize_subject(30, 388, 374, 1), cfg).bits)
+    assert set((codes >> (cfg.n_alpha + cfg.n_beta)).tolist()) == {(1 << cfg.n_l) - 1}

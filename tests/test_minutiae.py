@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biokex.minutiae import (
+    MAX_COORDINATE,
     InsufficientMinutiaeError,
     Minutia,
     MinutiaeError,
@@ -65,6 +67,10 @@ def test_parse_comments_and_blank_lines_ignored():
         (b"388 374\n1 1 0\n400 2 0\n", 3, "outside"),
         (b"388 374\n1 1 0\n1 1 0\n", 3, "duplicate"),
         (b"388 374\n-1 1 0\n2 2 0\n", 2, "outside"),
+        (b"%d 374\n1 1 0\n2 2 0\n" % 10**400, 1, "above"),
+        (b"388 %d\n1 1 0\n2 2 0\n" % (MAX_COORDINATE + 1), 1, "above"),
+        (b"%d %d\n1 1 0\n%d 2 0\n" % (MAX_COORDINATE, MAX_COORDINATE, MAX_COORDINATE + 1),
+         3, "outside"),
     ],
 )
 def test_parse_errors_name_line(data, lineno, fragment):
@@ -111,6 +117,80 @@ def test_serialize_parse_roundtrip(mset):
     back = parse_minutiae_file(blob, subject_id="h")
     assert back == mset
     assert serialize_minutiae(back) == blob
+
+
+def test_parse_accepts_coordinates_at_the_bound():
+    mset = parse_minutiae_file(b"%d %d\n0 0 0\n%d %d 90\n" % ((MAX_COORDINATE,) * 4))
+    assert mset.minutiae[1] == Minutia(MAX_COORDINATE, MAX_COORDINATE, 90.0)
+
+
+def test_minutia_fields_and_immutability():
+    m = Minutia(3, 4, 5.5)
+    assert (m.x, m.y, m.theta) == (3, 4, 5.5)
+    with pytest.raises(AttributeError):
+        m.x = 7
+    with pytest.raises(AttributeError):
+        m.extra = 1
+    assert repr(m) == "Minutia(x=3, y=4, theta=5.5)"
+    assert Minutia(*m) == m
+
+
+def test_minutia_equality_and_hash():
+    a, b = Minutia(3, 4, 5.5), Minutia(3.0, 4, 5.5)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, Minutia(3, 4, 6.0)}) == 2
+    assert a != Minutia(4, 3, 5.5)
+    # a Minutia is a tuple: it also equals the plain tuple of its fields
+    assert a == (3, 4, 5.5) and hash(a) == hash((3, 4, 5.5))
+
+
+def test_minutia_pickle_roundtrip():
+    m = Minutia(388, 0, 359.5)
+    back = pickle.loads(pickle.dumps(m))
+    assert type(back) is Minutia and back == m
+
+
+def test_minutia_coerces_numpy_scalars():
+    m = Minutia(np.int64(7), np.uint16(8), np.float32(90.5))
+    assert type(m.x) is int and type(m.y) is int and type(m.theta) is float
+    assert m == Minutia(7, 8, 90.5)
+
+
+@pytest.mark.parametrize(
+    "x, y, theta",
+    [
+        (-1, 0, 0.0),
+        (0, -1, 0.0),
+        (MAX_COORDINATE + 1, 0, 0.0),
+        (0, 10**400, 0.0),
+        (0, 0, math.nan),
+        (0, 0, math.inf),
+        (0, 0, -math.inf),
+        (0, 0, 360.0),
+        (0, 0, -1e-300),
+    ],
+)
+def test_minutia_rejects_out_of_range(x, y, theta):
+    with pytest.raises(MinutiaeError):
+        Minutia(x, y, theta)
+
+
+def test_minutia_replace_validates():
+    m = Minutia(1, 2, 3.0)
+    assert m._replace(theta=4.0) == Minutia(1, 2, 4.0)
+    with pytest.raises(MinutiaeError):
+        m._replace(theta=360.0)
+
+
+def test_minutia_accepts_the_bound():
+    m = Minutia(MAX_COORDINATE, MAX_COORDINATE, 0.0)
+    assert m.x == m.y == MAX_COORDINATE == 2**31 - 1
+
+
+@pytest.mark.parametrize("width, height", [(MAX_COORDINATE + 1, 10), (10, 10**400)])
+def test_minutiae_set_rejects_oversized_image(width, height):
+    with pytest.raises(MinutiaeError, match="above"):
+        MinutiaeSet("s", 0, width, height, (Minutia(1, 1, 0.0), Minutia(2, 2, 0.0)))
 
 
 def test_minutiae_set_rejects_duplicates():
