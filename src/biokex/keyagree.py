@@ -14,6 +14,13 @@ modulus, the toy test group included, and in Python ``pow`` for an even
 modulus or where that library cannot be bound. Both compute the same
 integers.
 
+When the generator is a quadratic residue mod q (2 is, in the RFC 3526
+group, since q = 7 mod 8), every honest public value is one too, and
+:func:`shared_secret` rejects a peer value that is not: the quadratic
+character of the shared element would otherwise give that peer the parity
+of the private exponent. The Jacobi symbol that decides it is computed in
+Python, once per peer value and once per group for the generator.
+
 All functions are pure and big-integer values immutable. No timing-channel
 resistance is claimed for the modular exponentiation.
 """
@@ -25,6 +32,7 @@ import functools
 import hashlib
 from dataclasses import dataclass
 
+from . import _openssl
 from .transform import RevocableTemplate
 
 __all__ = [
@@ -34,6 +42,7 @@ __all__ = [
     "SessionKey",
     "KeyAgreementError",
     "DegenerateKeyError",
+    "NonResidueKeyError",
     "RFC3526_MODP_2048_HEX",
     "RFC3526_2048",
     "derive_private_key",
@@ -68,6 +77,10 @@ class KeyAgreementError(ValueError):
 
 class DegenerateKeyError(KeyAgreementError):
     """Public value in a trivial subgroup (0, 1, or q-1); rejected outright."""
+
+
+class NonResidueKeyError(DegenerateKeyError):
+    """Peer value outside the quadratic residues a residue generator spans."""
 
 
 @dataclass(frozen=True)
@@ -152,36 +165,6 @@ def derive_private_key(template: RevocableTemplate) -> PrivateKey:
     return PrivateKey(_exponent_from_digest(digest))
 
 
-@functools.cache
-def _libcrypto():
-    """Bind the OpenSSL BIGNUM calls :func:`modexp` uses, once; None if unavailable.
-
-    ``dlsym`` on the ``_hashlib`` extension's handle also searches the
-    libcrypto it links, so this is the OpenSSL ``hashlib`` already loaded.
-    """
-    try:
-        import _hashlib
-
-        lib = ctypes.CDLL(_hashlib.__file__)
-        p, i = ctypes.c_void_p, ctypes.c_int
-        for name, restype, argtypes in (
-            ("BN_CTX_new", p, ()),
-            ("BN_CTX_free", None, (p,)),
-            ("BN_new", p, ()),
-            ("BN_clear_free", None, (p,)),
-            ("BN_bin2bn", p, (ctypes.c_char_p, i, p)),
-            ("BN_bn2binpad", i, (p, ctypes.c_char_p, i)),
-            ("BN_mod_exp_mont_consttime", i, (p, p, p, p, p, p)),
-            ("ERR_clear_error", None, ()),
-        ):
-            fn = getattr(lib, name)
-            fn.restype = restype
-            fn.argtypes = argtypes
-    except (ImportError, OSError, AttributeError):
-        return None
-    return lib
-
-
 def modexp(base: int, exponent: int, modulus: int) -> int:
     """``pow(base, exponent, modulus)`` for non-negative operands and ``modulus > 1``.
 
@@ -192,7 +175,7 @@ def modexp(base: int, exponent: int, modulus: int) -> int:
     so an even one, like every call when OpenSSL cannot be bound, uses
     ``pow``.
     """
-    lib = _libcrypto()
+    lib = _openssl.libcrypto()
     if lib is None or modulus % 2 == 0:
         return pow(base, exponent, modulus)
     size = (modulus.bit_length() + 7) // 8
@@ -221,6 +204,33 @@ def modexp(base: int, exponent: int, modulus: int) -> int:
         lib.BN_CTX_free(ctx)
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for a >= 0 and odd n > 1; the Legendre symbol for prime n.
+
+    The binary algorithm of Cohen, "A Course in Computational Algebraic
+    Number Theory", Algorithm 1.4.10.
+    """
+    a %= n
+    symbol = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        # (2/n) = -1 exactly when n = 3 or 5 (mod 8)
+        if twos & 1 and n & 7 in (3, 5):
+            symbol = -symbol
+        # quadratic reciprocity flips the sign when both are 3 (mod 4)
+        if a & n & 3 == 3:
+            symbol = -symbol
+        a, n = n % a, a
+    return symbol if n == 1 else 0
+
+
+@functools.lru_cache(maxsize=8)
+def _residue_generator(group: DhGroup) -> bool:
+    """Whether alpha is a quadratic residue mod an odd q, so every honest value is one."""
+    return group.q % 2 == 1 and _jacobi(group.alpha, group.q) == 1
+
+
 def public_key(group: DhGroup, prv: PrivateKey) -> PublicKey:
     """alpha**exponent mod q."""
     return PublicKey(modexp(group.alpha, prv.exponent, group.q))
@@ -230,12 +240,16 @@ def shared_secret(group: DhGroup, prv: PrivateKey, other_pub: PublicKey) -> int:
     """other_pub**exponent mod q; commutative across the two parties.
 
     Degenerate peer values 0, 1 and q-1 are rejected: they pin the result
-    to a trivial subgroup regardless of the exponent.
+    to a trivial subgroup regardless of the exponent. When alpha is a
+    quadratic residue mod an odd q, so is every honest value, and a
+    non-residue is rejected with :class:`NonResidueKeyError`.
     """
-    v = other_pub.value
-    if v <= 1 or v >= group.q - 1:
+    v, q = other_pub.value, group.q
+    if v <= 1 or v >= q - 1:
         raise DegenerateKeyError(f"degenerate peer public value {v if v < 10 else 'q-1 or larger'}")
-    return modexp(v, prv.exponent, group.q)
+    if _residue_generator(group) and _jacobi(v, q) != 1:
+        raise NonResidueKeyError("peer public value is not a quadratic residue mod q")
+    return modexp(v, prv.exponent, q)
 
 
 def session_key(intermediate: int, session_id: int) -> SessionKey:

@@ -11,32 +11,32 @@ power-of-two N the reduction mod N is exactly the low log2(N) bits of the
 digest, so the arrangement takes them from each digest's last big-endian
 32-bit word instead of reducing the 256-bit integer.
 
-The digests are computed in-process by CPython's built-in SHA-256 (``_sha2``
-on 3.12+, ``_sha256`` before), falling back to ``hashlib.sha256`` where it is
-absent. SHA-256 is one function (FIPS 180-4) whichever code computes it, so
-the choice changes speed only: the arrangement hashes tens of thousands of
-short messages, and the built-in's per-call cost is lower than that of
-``hashlib``'s OpenSSL path.
+SHA-256(token || BE64(i)) for i = 1..N is, byte for byte, the ANSI X9.63
+key derivation function's output (X9.63 section 5.6.3; the hash-based
+one-step KDF of NIST SP 800-56C has the same structure) with shared secret
+Z = token || 0x00000000 and no SharedInfo: the KDF hashes Z || BE32(counter)
+with the counter starting at 1, and Z's four zero bytes are the high half
+of BE64(i). So every digest the stream needs comes from one
+``ECDH_KDF_X9_62`` call into the OpenSSL that ``hashlib`` links. That call
+derives at most 2**30 bytes (2**25 digests, far below the counter's 2**32
+wrap). Above that cap, where the library or its KDF cannot be bound, or
+when the call fails, the digests are computed one message at a time with
+``hashlib.sha256``. SHA-256 is one function (FIPS 180-4) whichever code
+computes it, so the choice changes speed only.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import hashlib
 import secrets
-from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-try:
-    from _sha2 import sha256 as _sha256
-except ImportError:
-    try:
-        from _sha256 import sha256 as _sha256
-    except ImportError:
-        from hashlib import sha256 as _sha256
-
+from . import _openssl
 from .features import FeatureBitString
 
 __all__ = [
@@ -49,7 +49,8 @@ __all__ = [
 ]
 
 DEFAULT_TOKEN_LEN = 16
-_BLOCK = 4096
+# OpenSSL's output cap for one X9.63 KDF call, in bytes
+_KDF_MAX_BYTES = 1 << 30
 
 
 class TransformError(ValueError):
@@ -125,22 +126,25 @@ class RevocableTemplate:
         return FeatureBitString(self.bits, self.n_p).serialize()
 
 
-def _digest_blocks(token: bytes, count: int) -> Iterator[bytes]:
-    """SHA-256(token || BE64(i)) for i = 1..count, in order.
+def _digests(token: bytes, count: int) -> ctypes.Array | bytes:
+    """SHA-256(token || BE64(i)) for i = 1..count, concatenated in order.
 
-    Yields the digests concatenated in blocks of at most ``_BLOCK``, so only
-    one block's digest objects are alive at a time (this bounds peak memory).
-    Each block's messages are the rows of one uint8 array, read out as bytes
-    through a void view, which keeps trailing NUL bytes.
+    Returns one buffer of 32 * count bytes: the X9.63 KDF output when
+    OpenSSL computes it, else the joined ``hashlib`` digests. A failed KDF
+    call falls back too, so a zero-filled buffer is never returned.
     """
-    width = len(token) + 8
-    prefix = np.frombuffer(token, dtype=np.uint8)
-    for start in range(1, count + 1, _BLOCK):
-        stop = min(start + _BLOCK, count + 1)
-        msgs = np.empty((stop - start, width), dtype=np.uint8)
-        msgs[:, :-8] = prefix
-        msgs[:, -8:] = np.arange(start, stop, dtype=">u8").view(np.uint8).reshape(-1, 8)
-        yield b"".join([_sha256(m).digest() for m in msgs.view(f"V{width}").ravel().tolist()])
+    size = 32 * count
+    kdf = _openssl.sha256_kdf()
+    if kdf is not None and size <= _KDF_MAX_BYTES:
+        derive, sha256 = kdf
+        out = ctypes.create_string_buffer(size)
+        z = token + bytes(4)
+        if derive(out, size, z, len(z), None, 0, sha256):
+            return out
+        _openssl.libcrypto().ERR_clear_error()
+    return b"".join(
+        [hashlib.sha256(token + i.to_bytes(8, "big")).digest() for i in range(1, count + 1)]
+    )
 
 
 def index_stream(key: TransformationKey, n: int, count: int) -> list[int]:
@@ -153,11 +157,8 @@ def index_stream(key: TransformationKey, n: int, count: int) -> list[int]:
         raise TransformError(f"stream range n={n} must be >= 1")
     if count < 1:
         raise TransformError(f"stream count={count} must be >= 1")
-    return [
-        1 + int.from_bytes(block[k:k + 32], "big") % n
-        for block in _digest_blocks(key.token, count)
-        for k in range(0, len(block), 32)
-    ]
+    digests = _digests(key.token, count)
+    return [1 + int.from_bytes(digests[k:k + 32], "big") % n for k in range(0, 32 * count, 32)]
 
 
 @functools.lru_cache(maxsize=8)
@@ -169,17 +170,15 @@ def _arrangement(token: bytes, n: int) -> np.ndarray:
     """
     if n < 1 or n & (n - 1) or n > 1 << 31:
         raise TransformError(f"arrangement size {n} is not a power of two up to 2**31")
-    # masking copies each block's last words, so no digest block outlives its
-    # turn; dropping the array before the walk leaves its two lists as the peak
-    low = np.concatenate(
-        [np.frombuffer(block, dtype=">u4")[7::8] & (n - 1) for block in _digest_blocks(token, n)]
-    )
-    stream = low.tolist()
-    del low
+    # masking copies the last words, so the digest buffer can go before the
+    # walk; iterating a memoryview makes each index an int only while in use
+    digests = _digests(token, n)
+    low = np.frombuffer(digests, dtype=">u4")[7::8] & (n - 1)
+    del digests
     # the swap walk of index_stream's 1-based values, with both positions 0-based:
     # entry p is the source index whose bit ends up at position p
     arr = list(range(n))
-    for i, j in enumerate(stream):
+    for i, j in enumerate(memoryview(low)):
         arr[i], arr[j] = arr[j], arr[i]
     out = np.array(arr, dtype=np.int32)
     out.setflags(write=False)

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from biokex import keyagree, netsim
+from biokex import _openssl, netsim
 from biokex.features import QuantizationConfig
 from biokex.minutiae import (
     Minutia,
@@ -33,12 +33,13 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def without_openssl(monkeypatch):
-    """Hide ``_hashlib`` so the binding fails and ``modexp`` falls back to ``pow``."""
-    keyagree._libcrypto.cache_clear()
+    """Hide ``_hashlib`` so the OpenSSL binding fails: ``modexp`` falls back to
+    ``pow`` and the index-stream digests to ``hashlib``."""
+    _openssl.libcrypto.cache_clear()
     monkeypatch.setitem(sys.modules, "_hashlib", None)
-    assert keyagree._libcrypto() is None
+    assert _openssl.libcrypto() is None
     yield
-    keyagree._libcrypto.cache_clear()
+    _openssl.libcrypto.cache_clear()
 
 
 @pytest.fixture(scope="session")

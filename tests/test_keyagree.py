@@ -1,21 +1,25 @@
+import ctypes
 import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from biokex import keyagree as keyagree_module
+from biokex import _openssl
 from biokex.features import FeatureBitString
 from biokex.keyagree import (
     DegenerateKeyError,
     DhGroup,
     KeyAgreementError,
+    NonResidueKeyError,
     PrivateKey,
     PublicKey,
     RFC3526_2048,
     RFC3526_MODP_2048_HEX,
     SessionKey,
     _exponent_from_digest,
+    _jacobi,
+    _residue_generator,
     derive_private_key,
     modexp,
     public_key,
@@ -116,7 +120,15 @@ def test_rfc3526_modexp_matches_pow_without_openssl(without_openssl):
 
 
 def test_openssl_binding_resolves():
-    assert keyagree_module._libcrypto() is not None
+    # a Python whose OpenSSL lacks any of these would run tier-1 on the
+    # fallbacks alone; name what is missing
+    import _hashlib
+
+    lib = ctypes.CDLL(_hashlib.__file__)
+    signatures = _openssl._SIGNATURES + _openssl._KDF_SIGNATURES
+    assert [name for name, _, _ in signatures if not hasattr(lib, name)] == []
+    assert _openssl.libcrypto() is not None
+    assert _openssl.sha256_kdf() is not None
 
 
 def test_missing_symbol_falls_back_to_pow(monkeypatch):
@@ -124,17 +136,17 @@ def test_missing_symbol_falls_back_to_pow(monkeypatch):
         def __init__(self, path):
             pass
 
-    keyagree_module._libcrypto.cache_clear()
-    monkeypatch.setattr(keyagree_module.ctypes, "CDLL", NoSymbols)
+    _openssl.libcrypto.cache_clear()
+    monkeypatch.setattr(_openssl.ctypes, "CDLL", NoSymbols)
     try:
-        assert keyagree_module._libcrypto() is None
+        assert _openssl.libcrypto() is None
         assert modexp(3, 2**200 + 1, 2**127 - 1) == pow(3, 2**200 + 1, 2**127 - 1)
     finally:
-        keyagree_module._libcrypto.cache_clear()
+        _openssl.libcrypto.cache_clear()
 
 
 def test_modexp_failure_raises(monkeypatch):
-    lib = keyagree_module._libcrypto()
+    lib = _openssl.libcrypto()
 
     class FailingExp:
         def __getattr__(self, name):
@@ -143,9 +155,78 @@ def test_modexp_failure_raises(monkeypatch):
         def BN_mod_exp_mont_consttime(self, *args):
             return 0
 
-    monkeypatch.setattr(keyagree_module, "_libcrypto", lambda: FailingExp())
+    monkeypatch.setattr(_openssl, "libcrypto", lambda: FailingExp())
     with pytest.raises(KeyAgreementError, match="modular exponentiation failed"):
         modexp(2, 5, 7)
+
+
+@given(st.integers(0, 2**300), st.integers(1, 2**299).map(lambda k: 2 * k + 1))
+@example(0, 3)
+@example(9, 15)
+@example(2, 15)
+@example(11, RFC3526_2048.q)
+@example(RFC3526_2048.q + 2, RFC3526_2048.q)
+@settings(max_examples=300, deadline=None)
+def test_jacobi_matches_reference(a, n):
+    assert _jacobi(a, n) == _jacobi_reference(a, n)
+
+
+def _jacobi_reference(a, n):
+    """Textbook Jacobi symbol: halve out twos, then apply reciprocity."""
+    a %= n
+    result = 1
+    while a != 0:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def test_jacobi_is_euler_criterion_mod_rfc3526_prime(rng):
+    q = RFC3526_2048.q
+    for _ in range(10):
+        v = int.from_bytes(rng.bytes(256), "big") % q
+        euler = pow(v, (q - 1) // 2, q)
+        assert _jacobi(v, q) == {0: 0, 1: 1, q - 1: -1}[euler]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [11, RFC3526_2048.q - 2, pow(11, 2**255 + 1, RFC3526_2048.q)],
+    ids=["11", "q-2", "11^odd"],
+)
+def test_rfc3526_non_residue_peers_rejected(value):
+    # a DegenerateKeyError subclass, so protocol.establish aborts on it
+    assert issubclass(NonResidueKeyError, DegenerateKeyError)
+    assert _jacobi(value, RFC3526_2048.q) == -1
+    with pytest.raises(NonResidueKeyError):
+        shared_secret(RFC3526_2048, PrivateKey(97), PublicKey(value))
+
+
+def test_honest_public_values_are_residues(rng):
+    q = RFC3526_2048.q
+    for _ in range(20):
+        prv = PrivateKey(int.from_bytes(rng.bytes(32), "big") | 1)
+        assert _jacobi(public_key(RFC3526_2048, prv).value, q) == 1
+
+
+def test_generator_residuosity_computed_once_per_group():
+    _residue_generator.cache_clear()
+    for value in (4, 9, 16):
+        shared_secret(RFC3526_2048, PrivateKey(97), PublicKey(value))
+    assert _residue_generator.cache_info().misses == 1
+
+
+def test_non_residue_generator_skips_the_residue_check():
+    # 3 is a non-residue mod 353, so the toy group's honest values include
+    # non-residues (alpha itself) and none may be refused
+    assert _jacobi(TOY.alpha, TOY.q) == -1
+    assert shared_secret(TOY, PrivateKey(2), PublicKey(TOY.alpha)) == 9
 
 
 @st.composite

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from biokex.ca import CaRegistry, Identity, RsaKeyPair
+from biokex.keyagree import RFC3526_2048
 from biokex.minutiae import Minutia, MinutiaeSet, synthesize_subject
 from biokex.protocol import (
     MSG_ABORT,
@@ -150,6 +151,21 @@ def test_degenerate_peer_public_value_aborts(ca_env):
     assert a.abort_message().payload == bytes([AbortReason.DEGENERATE_PUBLIC_KEY])
 
 
+def test_non_residue_peer_public_value_aborts(ca_env):
+    # 11 is a quadratic non-residue mod the RFC 3526 prime; accepting it would
+    # leak the parity of the private exponent
+    a = _endpoint(ca_env, "alice", initiator=True)
+    b = _endpoint(ca_env, "bob", initiator=False)
+    a.on_peer_certificate(b.on_peer_certificate(a.initiate()))
+    a.exchange_dh()
+    from biokex.protocol import HandshakeAborted
+
+    with pytest.raises(HandshakeAborted, match="not a quadratic residue") as exc:
+        a.establish(WireMessage(MSG_DH_PUB, (11).to_bytes(256, "big")))
+    assert exc.value.reason is AbortReason.DEGENERATE_PUBLIC_KEY
+    assert a.state.phase is Phase.FAILED
+
+
 def test_seal_open_roundtrip_including_empty(ca_env):
     a, b, _, _ = _handshake(ca_env)
     for plaintext in (b"", b"x", b"a longer message body", bytes(range(256))):
@@ -252,7 +268,9 @@ def test_never_established_without_verified_certificate(ca_env):
     inputs = {
         "valid_cert": WireMessage(MSG_CERT, alice.certificate.encode()),
         "bad_cert": WireMessage(MSG_CERT, rogue_cert.encode()),
-        "pub": WireMessage(MSG_DH_PUB, (12345).to_bytes(256, "big")),
+        # 2**12345 mod q: a value an honest peer could send; a bare 12345 is a
+        # quadratic non-residue, which establish refuses
+        "pub": WireMessage(MSG_DH_PUB, pow(2, 12345, RFC3526_2048.q).to_bytes(256, "big")),
         "abort": WireMessage(MSG_ABORT, b"\x01"),
     }
 

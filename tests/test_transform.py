@@ -1,20 +1,21 @@
+import ctypes
 import hashlib
-import importlib.util
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import biokex.transform as transform_module
+from biokex import _openssl
 from biokex.features import FeatureBitString, QuantizationConfig, extract_features
+from biokex.keyagree import modexp
 from biokex.minutiae import synthesize_subject
 from biokex.transform import (
     RevocableTemplate,
     TransformationKey,
     TransformError,
     _arrangement,
-    _digest_blocks,
+    _digests,
     index_stream,
     invert,
     permute,
@@ -67,40 +68,158 @@ def test_index_stream_frozen_reference():
 
 
 def test_index_stream_crosses_digest_blocks():
-    # values on both sides of the 4096-counter hashing block boundary
+    # values on both sides of 4096 counters, a former hashing block boundary
     stream = index_stream(KEY, 1000, 5000)
     for i in (4095, 4096, 4097, 5000):
         digest = hashlib.sha256(TOKEN + i.to_bytes(8, "big")).digest()
         assert stream[i - 1] == 1 + int.from_bytes(digest, "big") % 1000
 
 
+@pytest.fixture(params=["without-openssl", "over-kdf-cap"])
+def hashlib_fallback(request, monkeypatch):
+    """Force ``_digests`` onto its hashlib loop: no OpenSSL binding, or an
+    X9.63 KDF output cap below every request."""
+    if request.param == "without-openssl":
+        request.getfixturevalue("without_openssl")
+    else:
+        monkeypatch.setattr(transform_module, "_KDF_MAX_BYTES", 31)
+    _arrangement.cache_clear()
+    yield
+    _arrangement.cache_clear()
+
+
+def _hashlib_digests(token, count):
+    return b"".join(
+        hashlib.sha256(token + i.to_bytes(8, "big")).digest() for i in range(1, count + 1)
+    )
+
+
+def _assert_arrangement_frozen_reference():
+    _arrangement.cache_clear()
+    for n, digest in ARRANGEMENT_SHA256.items():
+        arr = _arrangement(TOKEN, n)
+        assert hashlib.sha256(arr.astype("<i8").tobytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("token_len", range(1, 81))
 def test_digest_blocks_match_hashlib(token_len):
     # token || BE64(i) crosses SHA-256's one-to-two-block padding boundary at
-    # 56 bytes; the count crosses the 4096-counter hashing block, and every
-    # 256th counter ends the message in a NUL byte
+    # 56 bytes, the count crosses 4096, and every 256th counter ends the
+    # message in a NUL byte; this is the X9.63 KDF path
     token = bytes(range(token_len))
     count = 4096 + token_len
-    expected = b"".join(
-        hashlib.sha256(token + i.to_bytes(8, "big")).digest() for i in range(1, count + 1)
-    )
-    assert b"".join(_digest_blocks(token, count)) == expected
+    digests = _digests(token, count)
+    assert isinstance(digests, ctypes.Array)
+    assert bytes(digests) == _hashlib_digests(token, count)
 
 
-def test_arrangement_frozen_reference_through_hashlib_fallback(monkeypatch):
-    # a private copy of the module, imported with CPython's built-in SHA-256
-    # modules hidden, so its constructor is the hashlib fallback
-    monkeypatch.setitem(sys.modules, "_sha2", None)
-    monkeypatch.setitem(sys.modules, "_sha256", None)
-    spec = importlib.util.spec_from_file_location(
-        "biokex._transform_hashlib", transform_module.__file__)
-    fallback = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, fallback)
-    spec.loader.exec_module(fallback)
-    assert fallback._sha256 is hashlib.sha256
-    for n, digest in ARRANGEMENT_SHA256.items():
-        arr = fallback._arrangement(TOKEN, n)
-        assert hashlib.sha256(arr.astype("<i8").tobytes()).hexdigest() == digest
+@pytest.mark.parametrize("token_len", range(1, 81))
+def test_digest_blocks_match_hashlib_on_fallback(hashlib_fallback, token_len):
+    token = bytes(range(token_len))
+    count = 4096 + token_len
+    digests = _digests(token, count)
+    assert isinstance(digests, bytes)
+    assert digests == _hashlib_digests(token, count)
+
+
+@pytest.mark.parametrize("count", [1, 4095, 4096, 4097])
+def test_digests_at_counts(count):
+    digests = _digests(TOKEN, count)
+    assert isinstance(digests, ctypes.Array)
+    assert bytes(digests) == _hashlib_digests(TOKEN, count)
+
+
+@pytest.mark.parametrize("count", [1, 4095, 4096, 4097])
+def test_digests_at_counts_on_fallback(hashlib_fallback, count):
+    assert _digests(TOKEN, count) == _hashlib_digests(TOKEN, count)
+
+
+def test_kdf_output_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(transform_module, "_KDF_MAX_BYTES", 32 * 100)
+    assert isinstance(_digests(TOKEN, 100), ctypes.Array)
+    assert _digests(TOKEN, 101) == _hashlib_digests(TOKEN, 101)
+
+
+def test_failed_kdf_call_falls_back(monkeypatch):
+    # the failing call scribbles on its buffer first; neither that buffer nor
+    # a zero-filled one may come back
+    lib = _openssl.libcrypto()
+    _, sha256 = _openssl.sha256_kdf()
+    cleared = []
+
+    def failing_kdf(out, outlen, *args):
+        ctypes.memset(out, 0xFF, outlen)
+        return 0
+
+    class ClearRecorder:
+        def __getattr__(self, name):
+            return getattr(lib, name)
+
+        def ERR_clear_error(self):
+            cleared.append(True)
+
+    monkeypatch.setattr(_openssl, "sha256_kdf", lambda: (failing_kdf, sha256))
+    monkeypatch.setattr(_openssl, "libcrypto", lambda: ClearRecorder())
+    assert _digests(TOKEN, 4097) == _hashlib_digests(TOKEN, 4097)
+    assert cleared
+    try:
+        _assert_arrangement_frozen_reference()
+    finally:
+        _arrangement.cache_clear()
+
+
+def test_missing_kdf_keeps_the_bignum_binding(monkeypatch):
+    # a libcrypto built without deprecated or EC APIs lacks ECDH_KDF_X9_62;
+    # only the digests may fall back, not modexp
+    real_cdll = ctypes.CDLL
+    exponentiations = []
+
+    class NoKdf:
+        def __init__(self, path):
+            self._lib = real_cdll(path)
+
+        def __getattr__(self, name):
+            if name == "ECDH_KDF_X9_62":
+                raise AttributeError(name)
+            fn = getattr(self._lib, name)
+            if name == "BN_mod_exp_mont_consttime":
+                exponentiations.append(fn)
+            return fn
+
+    _openssl.libcrypto.cache_clear()
+    monkeypatch.setattr(_openssl.ctypes, "CDLL", NoKdf)
+    try:
+        assert _openssl.libcrypto() is not None
+        assert _openssl.sha256_kdf() is None
+        assert _digests(TOKEN, 4097) == _hashlib_digests(TOKEN, 4097)
+        exponentiations.clear()
+        assert modexp(3, 2**200 + 1, 2**127 - 1) == pow(3, 2**200 + 1, 2**127 - 1)
+        assert exponentiations
+    finally:
+        _openssl.libcrypto.cache_clear()
+
+
+def test_arrangement_frozen_reference_through_hashlib_fallback(without_openssl):
+    try:
+        _assert_arrangement_frozen_reference()
+    finally:
+        _arrangement.cache_clear()
+
+
+def test_arrangement_frozen_reference_over_kdf_cap(monkeypatch):
+    monkeypatch.setattr(transform_module, "_KDF_MAX_BYTES", 31)
+    try:
+        _assert_arrangement_frozen_reference()
+    finally:
+        _arrangement.cache_clear()
+
+
+def test_index_stream_references_on_fallback(hashlib_fallback):
+    assert index_stream(KEY, 1 << 15, 3)[0] == FIRST_INDEX_32768
+    stream = index_stream(KEY, 1000, 5000)
+    for i in (1, 4095, 4096, 4097, 5000):
+        digest = hashlib.sha256(TOKEN + i.to_bytes(8, "big")).digest()
+        assert stream[i - 1] == 1 + int.from_bytes(digest, "big") % 1000
 
 
 def test_index_stream_deterministic_and_ranged():
@@ -119,6 +238,8 @@ def test_index_stream_validation():
 
 @pytest.mark.parametrize("n", sorted(ARRANGEMENT_SHA256))
 def test_arrangement_frozen_reference(n):
+    # computed afresh, so the X9.63 KDF path, not a cached array, is checked
+    _arrangement.cache_clear()
     arr = _arrangement(TOKEN, n)
     assert hashlib.sha256(arr.astype("<i8").tobytes()).hexdigest() == ARRANGEMENT_SHA256[n]
 
