@@ -17,16 +17,7 @@ from .minutiae import (
     synthesize_dataset,
     synthesize_subject,
 )
-from .features import (
-    FeatureBitString,
-    PairVector,
-    QuantizationConfig,
-    all_pair_vectors,
-    bin_to_bitstring,
-    extract_features,
-    pair_vector,
-    quantize,
-)
+from .features import FeatureBitString, QuantizationConfig, extract_features
 from .transform import RevocableTemplate, TransformationKey, index_stream, invert, permute
 from .keyagree import (
     DhGroup,

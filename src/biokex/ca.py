@@ -2,9 +2,9 @@
 
 A certificate binds a user id to an RSA-2048 public key: the CA signs the
 SHA-256 digest of (public key DER || id bytes) with deterministic PKCS#1
-v1.5 padding, so issued certificates are byte-reproducible. Enrollment
-requests travel under hybrid encryption (RSA-OAEP wrapped AES-256-GCM),
-since an identity plus public key exceeds one RSA block.
+v1.5 padding, so issued certificates are byte-reproducible. An enrollment
+carries nothing a certificate does not already carry in clear, an identity
+and a public key, so it is submitted to the registry as is.
 
 Key pairs can be generated deterministically from a seed: primes come from
 a SHA-256 counter stream checked by trial division and 40 Miller-Rabin
@@ -33,7 +33,6 @@ from pathlib import Path
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .keyagree import modexp
 
@@ -49,8 +48,6 @@ __all__ = [
     "SignatureInvalidError",
     "verify_certificate",
     "certificate_digest",
-    "seal_enrollment_request",
-    "open_enrollment_request",
 ]
 
 RSA_BITS = 2048
@@ -331,11 +328,6 @@ class CaRegistry:
                 fh.write(line)
         return cert
 
-    def process_enrollment(self, blob: bytes, now: int | None = None) -> Certificate:
-        """Open a sealed enrollment request and enroll its contents."""
-        identity, user_public_der = open_enrollment_request(self.ca_keypair, blob)
-        return self.enroll(identity, user_public_der, now=now)
-
 
 def verify_certificate(ca_public_key: rsa.RSAPublicKey, cert: Certificate) -> Identity:
     """Recompute the digest, check it, check the CA signature; return the identity.
@@ -355,54 +347,3 @@ def verify_certificate(ca_public_key: rsa.RSAPublicKey, cert: Certificate) -> Id
             f"certificate signature invalid for {cert.identity.user_id!r}"
         ) from None
     return cert.identity
-
-
-def seal_enrollment_request(
-    ca_public_key: rsa.RSAPublicKey, identity: Identity, user_public_der: bytes
-) -> bytes:
-    """Encrypt (identity, public key) to the CA: RSA-OAEP wraps a fresh
-    AES-256-GCM key, the payload rides under that key."""
-    ident = identity.encode()
-    payload = struct.pack(">H", len(ident)) + ident + user_public_der
-    sym = secrets.token_bytes(32)
-    nonce = secrets.token_bytes(12)
-    sealed = AESGCM(sym).encrypt(nonce, payload, b"enroll")
-    wrapped = ca_public_key.encrypt(
-        sym,
-        padding.OAEP(
-            mgf=padding.MGF1(algorithm=hashes.SHA256()),
-            algorithm=hashes.SHA256(),
-            label=None,
-        ),
-    )
-    return struct.pack(">H", len(wrapped)) + wrapped + nonce + sealed
-
-
-def open_enrollment_request(
-    ca_keypair: RsaKeyPair, blob: bytes
-) -> tuple[Identity, bytes]:
-    if len(blob) < 2:
-        raise CaError("enrollment request truncated")
-    (wrapped_len,) = struct.unpack(">H", blob[:2])
-    if len(blob) < 2 + wrapped_len + 12 + 16:
-        raise CaError("enrollment request truncated")
-    wrapped = blob[2 : 2 + wrapped_len]
-    nonce = blob[2 + wrapped_len : 2 + wrapped_len + 12]
-    sealed = blob[2 + wrapped_len + 12 :]
-    try:
-        sym = ca_keypair.private_key.decrypt(
-            wrapped,
-            padding.OAEP(
-                mgf=padding.MGF1(algorithm=hashes.SHA256()),
-                algorithm=hashes.SHA256(),
-                label=None,
-            ),
-        )
-        payload = AESGCM(sym).decrypt(nonce, sealed, b"enroll")
-    except Exception as exc:
-        raise CaError(f"enrollment request rejected: {exc.__class__.__name__}") from None
-    (id_len,) = struct.unpack(">H", payload[:2])
-    if len(payload) < 2 + id_len:
-        raise CaError("enrollment request payload truncated")
-    identity = Identity(payload[2 : 2 + id_len].decode("utf-8"))
-    return identity, payload[2 + id_len :]

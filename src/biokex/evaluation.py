@@ -180,7 +180,7 @@ def _differing_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def template_similarity_scores(
     dataset: Sequence[Sequence[MinutiaeSet]],
-    cfg: QuantizationConfig | None = None,
+    cfg: QuantizationConfig = QuantizationConfig(),
     tkey: TransformationKey | None = None,
 ) -> ScoreSet:
     """Genuine and impostor matching-bit fractions under one shared key.
@@ -189,7 +189,6 @@ def template_similarity_scores(
     one subject at a time and impostor pairs one row at a time, so the XOR
     temporaries stay at C(m, 2) or s - 1 templates.
     """
-    cfg = cfg if cfg is not None else QuantizationConfig()
     tkey = tkey if tkey is not None else TransformationKey(b"shared-eval-key!", "stolen-token")
     if len(dataset) < 2 or min(len(row) for row in dataset) < 2:
         raise EvaluationError("dataset needs >= 2 subjects with >= 2 impressions each")
@@ -207,7 +206,7 @@ def template_similarity_scores(
 
 def session_key_sample(
     dataset: Sequence[Sequence[MinutiaeSet]],
-    cfg: QuantizationConfig | None = None,
+    cfg: QuantizationConfig = QuantizationConfig(),
     *,
     group: DhGroup = RFC3526_2048,
     seed: int = 0,
@@ -218,7 +217,6 @@ def session_key_sample(
     give k pairings, each running the full exchange (fresh transformation
     keys both sides) down to one 32-byte session key.
     """
-    cfg = cfg if cfg is not None else QuantizationConfig()
     n_pairings = len(dataset) // 2
     if n_pairings < 1:
         raise EvaluationError("need at least 2 subjects for one pairing")
@@ -247,7 +245,7 @@ def pairwise_key_hamming(keys: Sequence[bytes]) -> np.ndarray:
 def revocability_fractions(
     dataset: Sequence[Sequence[MinutiaeSet]],
     n_keys: int = 30,
-    cfg: QuantizationConfig | None = None,
+    cfg: QuantizationConfig = QuantizationConfig(),
     *,
     seed: int = 0,
 ) -> np.ndarray:
@@ -258,7 +256,6 @@ def revocability_fractions(
     """
     if n_keys < 2:
         raise EvaluationError("need at least 2 transformation keys")
-    cfg = cfg if cfg is not None else QuantizationConfig()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x2B]))
     fractions = []
     for impressions in dataset:

@@ -4,15 +4,16 @@ Every unordered minutiae pair (i, j), i < j, yields a triplet
 (L, alpha, beta): segment length, segment direction relative to the first
 minutia's orientation, and the same direction adjusted by the orientation
 difference. The triplets are invariant to global translation and rotation
-of the impression. Each triplet quantizes to an n_p-bit code
-(L bits, alpha bits, beta bits concatenated most-significant-field first)
-and the codes index a 2**n_p-long bit string: a bin is 1 iff at least one
-pair lands in it.
+of the impression. Each field v quantizes to min(floor(v / width), bins - 1),
+with L over [0, l_max) and the angles over [0, 360); the fields concatenate,
+most-significant-field first, into an n_p-bit code, and the codes index a
+2**n_p-long bit string: a bin is 1 iff at least one pair lands in it.
 
-:func:`extract_features` is the fast path over all pairs at once. It bins L
-from ``sqrt(x*x + y*y)`` and falls back to ``hypot`` wherever that could
-move a bin, so its bits equal those of ``hypot``; alpha and beta are
-computed exactly as :func:`pair_triplet` orders them.
+:func:`extract_features` is the one extraction path, over all pairs at once.
+It bins L from ``sqrt(x*x + y*y)`` and falls back to ``hypot`` wherever that
+could move a bin, so its bits equal those of ``hypot``; alpha and beta are
+computed exactly as :func:`pair_triplet`, the scalar math for one pair,
+orders them.
 """
 
 from __future__ import annotations
@@ -22,25 +23,17 @@ import math
 import struct
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
-from .minutiae import Minutia, MinutiaeSet
+from .minutiae import MinutiaeSet
 
 __all__ = [
-    "PairVector",
     "QuantizationConfig",
     "FeatureBitString",
     "FeatureError",
     "DegeneratePairError",
     "pair_triplet",
-    "pair_vector",
-    "all_pair_vectors",
-    "PairVectorResult",
-    "quantize",
-    "quantize_code",
-    "bin_to_bitstring",
     "extract_features",
 ]
 
@@ -51,21 +44,6 @@ class FeatureError(ValueError):
 
 class DegeneratePairError(FeatureError):
     """Coincident minutiae positions; the pair direction is undefined."""
-
-
-@dataclass(frozen=True)
-class PairVector:
-    """Invariant triplet for one minutiae pair: distance and two relative angles."""
-
-    L: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.L < 0:
-            raise FeatureError(f"negative pair distance {self.L}")
-        if not 0.0 <= self.alpha < 360.0 or not 0.0 <= self.beta < 360.0:
-            raise FeatureError(f"angles ({self.alpha}, {self.beta}) not normalized")
 
 
 @dataclass(frozen=True)
@@ -185,66 +163,6 @@ def pair_triplet(
     return length, alpha, beta
 
 
-def pair_vector(m_i: Minutia, m_j: Minutia) -> PairVector:
-    """Invariant triplet for the ordered pair (m_i, m_j)."""
-    length, alpha, beta = pair_triplet(m_i.x, m_i.y, m_i.theta, m_j.x, m_j.y, m_j.theta)
-    return PairVector(length, alpha, beta)
-
-
-class PairVectorResult(NamedTuple):
-    vectors: list[PairVector]
-    skipped: int
-
-
-def all_pair_vectors(mset: MinutiaeSet) -> PairVectorResult:
-    """Triplets for all n(n-1)/2 unordered pairs, in (i, j) order with i < j.
-
-    Pairs with coincident positions have no direction; they are skipped and
-    counted rather than raised, since duplicates in position (with distinct
-    orientations) can survive synthesis and perturbation.
-    """
-    ms = mset.minutiae
-    vectors: list[PairVector] = []
-    skipped = 0
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            try:
-                vectors.append(pair_vector(ms[i], ms[j]))
-            except DegeneratePairError:
-                skipped += 1
-    return PairVectorResult(vectors, skipped)
-
-
-def quantize_code(v: PairVector, cfg: QuantizationConfig) -> int:
-    """Integer value of the quantized n_p-bit code for one triplet."""
-    l_bins = 1 << cfg.n_l
-    a_bins = 1 << cfg.n_alpha
-    b_bins = 1 << cfg.n_beta
-    l_bin = min(int(v.L / (cfg.l_max / l_bins)), l_bins - 1)
-    a_bin = min(int(v.alpha / (360.0 / a_bins)), a_bins - 1)
-    b_bin = min(int(v.beta / (360.0 / b_bins)), b_bins - 1)
-    return (l_bin << (cfg.n_alpha + cfg.n_beta)) | (a_bin << cfg.n_beta) | b_bin
-
-
-def quantize(v: PairVector, cfg: QuantizationConfig) -> str:
-    """Quantized code rendered as an n_p-character bit string, L field first,
-    each field most-significant-bit first."""
-    return format(quantize_code(v, cfg), f"0{cfg.n_p}b")
-
-
-def bin_to_bitstring(vectors: list[PairVector], cfg: QuantizationConfig) -> FeatureBitString:
-    """Bin quantized codes into the 2**n_p feature bit string.
-
-    Idempotent under duplicate codes: a bin indexed any number of times is 1.
-    """
-    if not vectors:
-        raise FeatureError("empty vector list")
-    bits = np.zeros(1 << cfg.n_p, dtype=np.uint8)
-    for v in vectors:
-        bits[quantize_code(v, cfg)] = 1
-    return FeatureBitString(bits, cfg.n_p)
-
-
 @functools.lru_cache(maxsize=8)
 def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``triu_indices(n, k=1)``: every (i, j) with i < j in row order."""
@@ -269,8 +187,11 @@ def _wrap360(v: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def extract_features(mset: MinutiaeSet, cfg: QuantizationConfig) -> FeatureBitString:
-    """Fused extraction path: equivalent to binning ``all_pair_vectors`` but
-    vectorized over all pairs; degenerate pairs are skipped.
+    """Feature bit string of every pair with a defined direction; degenerate
+    pairs are skipped, and a set with none left raises :class:`FeatureError`.
+    Its bits are those of quantizing :func:`pair_triplet` pair by pair, the
+    scalar reference in the feature tests, wherever NumPy's trigonometry
+    rounds as ``math``'s does.
 
     Radians, cosine and sine are computed once per minutia and gathered per
     pair. The projection, alpha and beta keep :func:`pair_triplet`'s operands
@@ -278,7 +199,7 @@ def extract_features(mset: MinutiaeSet, cfg: QuantizationConfig) -> FeatureBitSt
     from ``sqrt(x*x + y*y)``, which lies within a few ulps of ``hypot(x, y)``;
     where the quotient by the bin width is within 1e-9 (relative) of an
     integer, or not finite, L is recomputed with ``hypot``, so every L bin is
-    the one ``hypot`` gives. So the bits equal the per-pair path's.
+    the one ``hypot`` gives.
     """
     ms = mset.minutiae
     n = len(ms)

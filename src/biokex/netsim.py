@@ -233,7 +233,7 @@ def run_session(
     ca_public_key,
     session_id: int = 0,
     seed: int = 0,
-    cfg: QuantizationConfig | None = None,
+    cfg: QuantizationConfig = QuantizationConfig(),
     group: DhGroup = RFC3526_2048,
     plaintexts: tuple = _DEFAULT_PLAINTEXTS,
 ) -> SessionOutcome:
@@ -251,7 +251,6 @@ def run_session(
             raise SimulationError(f"party {party.identity.user_id!r} not enrolled: {exc}") from None
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, session_id]))
-    cfg = cfg if cfg is not None else QuantizationConfig()
     ep_a = SessionEndpoint(
         a.certificate, a.fingerprint, ca_public_key, initiator=True,
         session_id=session_id, group=group, cfg=cfg,

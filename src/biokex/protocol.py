@@ -41,6 +41,7 @@ from .keyagree import (
     PUBLIC_KEY_BYTES,
     DegenerateKeyError,
     DhGroup,
+    KeyAgreementError,
     PublicKey,
     RFC3526_2048,
     SessionKey,
@@ -121,6 +122,7 @@ class AbortReason(enum.IntEnum):
     MALFORMED_MESSAGE = 2
     DEGENERATE_PUBLIC_KEY = 3
     FEATURE_EXTRACTION = 4
+    KEY_AGREEMENT = 5
 
     @property
     def label(self) -> str:
@@ -129,6 +131,7 @@ class AbortReason(enum.IntEnum):
             AbortReason.MALFORMED_MESSAGE: "malformed-message",
             AbortReason.DEGENERATE_PUBLIC_KEY: "degenerate-public-key",
             AbortReason.FEATURE_EXTRACTION: "feature-extraction",
+            AbortReason.KEY_AGREEMENT: "key-agreement",
         }[self]
 
 
@@ -201,7 +204,7 @@ class SessionEndpoint:
         initiator: bool,
         session_id: int = 0,
         group: DhGroup = RFC3526_2048,
-        cfg: QuantizationConfig | None = None,
+        cfg: QuantizationConfig = QuantizationConfig(),
         transform_key: TransformationKey | None = None,
     ):
         self.certificate = certificate
@@ -210,7 +213,7 @@ class SessionEndpoint:
         self.initiator = initiator
         self.session_id = session_id
         self.group = group
-        self.cfg = cfg if cfg is not None else QuantizationConfig()
+        self.cfg = cfg
         self.transform_key = (
             transform_key
             if transform_key is not None
@@ -259,8 +262,8 @@ class SessionEndpoint:
         """Derive this session's DH pair from the fingerprint and emit the
         256-byte public value; PeerVerified -> PubKeySent.
 
-        Feature extraction failure (too few usable minutiae) emits an abort
-        frame instead.
+        Feature extraction failure (too few usable minutiae) or a failed key
+        agreement computation emits an abort frame instead.
         """
         if self.state.phase is not Phase.PEER_VERIFIED:
             raise ProtocolStateError(f"exchange_dh in phase {self.state.phase.value}")
@@ -270,6 +273,8 @@ class SessionEndpoint:
             )
         except FeatureError as exc:
             return self._abort(AbortReason.FEATURE_EXTRACTION, str(exc))
+        except KeyAgreementError as exc:
+            return self._abort(AbortReason.KEY_AGREEMENT, str(exc))
         self._private_key = prv
         self.state.phase = Phase.PUBKEY_SENT
         return WireMessage(MSG_DH_PUB, pub.to_bytes())
@@ -278,7 +283,8 @@ class SessionEndpoint:
         """Consume the peer's public value and derive the session key.
 
         Raises :class:`HandshakeAborted` on a degenerate or malformed peer
-        value; the abort frame to forward is available via ``abort_message``.
+        value, or when the key agreement computation fails; the abort frame
+        to forward is available via ``abort_message``.
         """
         if self.state.phase is not Phase.PUBKEY_SENT:
             raise ProtocolStateError(f"establish in phase {self.state.phase.value}")
@@ -288,9 +294,14 @@ class SessionEndpoint:
         try:
             value = PublicKey.from_bytes(peer_pub.payload)
             intermediate = shared_secret(self.group, self._private_key, value)
-        except DegenerateKeyError as exc:
-            self._abort(AbortReason.DEGENERATE_PUBLIC_KEY, str(exc))
-            raise HandshakeAborted(AbortReason.DEGENERATE_PUBLIC_KEY, str(exc)) from None
+        except KeyAgreementError as exc:
+            reason = (
+                AbortReason.DEGENERATE_PUBLIC_KEY
+                if isinstance(exc, DegenerateKeyError)
+                else AbortReason.KEY_AGREEMENT
+            )
+            self._abort(reason, str(exc))
+            raise HandshakeAborted(reason, str(exc)) from None
         sk = session_key(intermediate, self.session_id)
         self._private_key = None
         self._key_buffer = bytearray(sk.key)

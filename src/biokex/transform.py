@@ -3,7 +3,8 @@
 A user-specific transformation key seeds a deterministic index stream; the
 i-th stream value j_i selects the bit swapped with position i, for
 i = 1..N in order. The composition is a bijection on N-bit strings, so a
-leaked template is revoked by switching to a fresh key. The stream is a
+leaked template is revoked by switching to a fresh key. Keys live only in
+memory: a session draws a fresh one and stores none. The stream is a
 hash counter: index i is SHA-256(token || i as 8 big-endian bytes) reduced
 mod N, which keeps the permutation bit-exact across implementations and
 unbiased whenever N divides 2**256 (true for all power-of-two N). For
@@ -32,7 +33,6 @@ import functools
 import hashlib
 import secrets
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -72,20 +72,6 @@ class TransformationKey:
     def random(cls, rng: np.random.Generator | None = None, label: str = "default") -> "TransformationKey":
         token = rng.bytes(DEFAULT_TOKEN_LEN) if rng is not None else secrets.token_bytes(DEFAULT_TOKEN_LEN)
         return cls(token, label)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(f"{self.token.hex()}\n{self.label}\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TransformationKey":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        if len(lines) < 2:
-            raise TransformError(f"{path}: expected hex token line and label line")
-        try:
-            token = bytes.fromhex(lines[0].strip())
-        except ValueError:
-            raise TransformError(f"{path}: bad hex token") from None
-        return cls(token, lines[1].strip())
 
 
 class RevocableTemplate:

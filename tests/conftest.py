@@ -42,6 +42,21 @@ def without_openssl(monkeypatch):
     _openssl.libcrypto.cache_clear()
 
 
+@pytest.fixture
+def fail_modexp(monkeypatch):
+    """Call to make every later OpenSSL modular exponentiation report failure."""
+    lib = _openssl.libcrypto()
+
+    class FailingExp:
+        def __getattr__(self, name):
+            return getattr(lib, name)
+
+        def BN_mod_exp_mont_consttime(self, *args):
+            return 0
+
+    return lambda: monkeypatch.setattr(_openssl, "libcrypto", lambda: FailingExp())
+
+
 @pytest.fixture(scope="session")
 def ca_env():
     """Shared CA with two enrolled parties; RSA generation is the slow part,

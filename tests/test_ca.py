@@ -17,8 +17,6 @@ from biokex.ca import (
     RsaKeyPair,
     SignatureInvalidError,
     certificate_digest,
-    open_enrollment_request,
-    seal_enrollment_request,
     verify_certificate,
 )
 
@@ -158,33 +156,6 @@ def test_identity_limits():
 
 def test_digest_definition(issued, user_keys):
     assert issued.digest == certificate_digest(user_keys.public_der, Identity("alice"))
-
-
-def test_hybrid_enrollment_roundtrip():
-    ca_keys = RsaKeyPair.generate(555)
-    user = RsaKeyPair.generate(556)
-    blob = seal_enrollment_request(ca_keys.public_key, Identity("carol"), user.public_der)
-    identity, der = open_enrollment_request(ca_keys, blob)
-    assert identity == Identity("carol")
-    assert der == user.public_der
-
-
-def test_hybrid_enrollment_tamper_rejected():
-    ca_keys = RsaKeyPair.generate(557)
-    user = RsaKeyPair.generate(558)
-    blob = bytearray(seal_enrollment_request(ca_keys.public_key, Identity("dave"), user.public_der))
-    blob[-1] ^= 1
-    with pytest.raises(CaError, match="rejected"):
-        open_enrollment_request(ca_keys, bytes(blob))
-
-
-def test_process_enrollment_end_to_end(tmp_path):
-    registry = CaRegistry(RsaKeyPair.generate(559))
-    user = RsaKeyPair.generate(560)
-    blob = seal_enrollment_request(registry.public_key, Identity("erin"), user.public_der)
-    cert = registry.process_enrollment(blob, now=1)
-    assert verify_certificate(registry.public_key, cert) == Identity("erin")
-    assert "erin" in registry.enrolled
 
 
 # SHA-256 of (public SubjectPublicKeyInfo DER, private PKCS#8 DER), pinned

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -9,15 +10,10 @@ from biokex.features import (
     DegeneratePairError,
     FeatureBitString,
     FeatureError,
-    PairVector,
     QuantizationConfig,
-    all_pair_vectors,
-    bin_to_bitstring,
     extract_features,
     pair_triplet,
-    pair_vector,
-    quantize,
-    quantize_code,
+    _pair_indices,
     _wrap360,
 )
 from biokex.minutiae import MAX_COORDINATE, Minutia, MinutiaeSet, synthesize_subject
@@ -26,103 +22,117 @@ from biokex.minutiae import MAX_COORDINATE, Minutia, MinutiaeSet, synthesize_sub
 # atan2(-4, 3) = -53.1301...deg -> alpha 306.8699, beta = alpha + 90
 ALPHA_ORACLE = math.degrees(math.atan2(-4.0, 3.0)) % 360.0
 BETA_ORACLE = (ALPHA_ORACLE + 90.0) % 360.0
+CFG320 = QuantizationConfig(5, 5, 5, l_max=320.0)
+
+
+def pair_triplets(mset):
+    """:func:`pair_triplet` of every unordered pair in (i, j) order, i < j,
+    skipping the pairs whose positions coincide."""
+    for m_i, m_j in itertools.combinations(mset.minutiae, 2):
+        try:
+            yield pair_triplet(*m_i, *m_j)
+        except DegeneratePairError:
+            pass
+
+
+def extract_features_per_pair(mset, cfg):
+    """Scalar reference extraction: each triplet field v lands in bin
+    min(int(v / width), bins - 1), and the code sets one bit."""
+    widths = (cfg.l_max, 360.0, 360.0)
+    bits = np.zeros(1 << cfg.n_p, dtype=np.uint8)
+    for triplet in pair_triplets(mset):
+        code = 0
+        for v, width, n in zip(triplet, widths, (cfg.n_l, cfg.n_alpha, cfg.n_beta)):
+            code = (code << n) | min(int(v / (width / (1 << n))), (1 << n) - 1)
+        bits[code] = 1
+    return FeatureBitString(bits, cfg.n_p)
+
+
+def _pair_set(*minutiae):
+    return MinutiaeSet("p", 0, 2000, 2000, tuple(Minutia(*m) for m in minutiae))
+
+
+def _codes(mset, cfg=CFG320):
+    return np.flatnonzero(extract_features(mset, cfg).bits).tolist()
 
 
 def test_pair_vector_oracle():
-    v = pair_vector(Minutia(100, 100, 0.0), Minutia(103, 104, 90.0))
-    assert v.L == pytest.approx(5.0, abs=1e-9)
-    assert v.alpha == pytest.approx(ALPHA_ORACLE, abs=1e-6)
-    assert v.alpha == pytest.approx(306.8699, abs=1e-3)
-    assert v.beta == pytest.approx(BETA_ORACLE, abs=1e-6)
-    assert v.beta == pytest.approx(36.8699, abs=1e-3)
+    length, alpha, beta = pair_triplet(100, 100, 0.0, 103, 104, 90.0)
+    assert length == pytest.approx(5.0, abs=1e-9)
+    assert alpha == pytest.approx(ALPHA_ORACLE, abs=1e-6)
+    assert alpha == pytest.approx(306.8699, abs=1e-3)
+    assert beta == pytest.approx(BETA_ORACLE, abs=1e-6)
+    assert beta == pytest.approx(36.8699, abs=1e-3)
 
 
 def test_pair_vector_collinear_aligned():
-    v = pair_vector(Minutia(0, 0, 0.0), Minutia(10, 0, 0.0))
-    assert (v.L, v.alpha, v.beta) == (10.0, 0.0, 0.0)
+    assert pair_triplet(0, 0, 0.0, 10, 0, 0.0) == (10.0, 0.0, 0.0)
 
 
 def test_pair_vector_coincident_position_degenerate():
     with pytest.raises(DegeneratePairError):
-        pair_vector(Minutia(0, 0, 0.0), Minutia(0, 0, 180.0))
+        pair_triplet(0, 0, 0.0, 0, 0, 180.0)
 
 
 def test_pair_vector_direction_matters():
-    a, b = Minutia(10, 20, 30.0), Minutia(200, 150, 260.0)
-    assert pair_vector(a, b) != pair_vector(b, a)
+    a, b = (10, 20, 30.0), (200, 150, 260.0)
+    assert pair_triplet(*a, *b) != pair_triplet(*b, *a)
 
 
 @pytest.mark.parametrize("n, expected", [(2, 1), (8, 28), (100, 4950)])
 def test_all_pair_vectors_count(n, expected):
-    mset = synthesize_subject(n, 388, 374, seed=n)
-    vectors, skipped = all_pair_vectors(mset)
-    assert skipped == 0
-    assert len(vectors) == expected
+    i_idx, j_idx = _pair_indices(n)
+    assert len(i_idx) == expected
+    assert list(zip(i_idx.tolist(), j_idx.tolist())) == list(itertools.combinations(range(n), 2))
 
 
 def test_all_pair_vectors_counts_degenerate():
-    mset = MinutiaeSet(
-        "s", 0, 10, 10,
-        (Minutia(5, 5, 0.0), Minutia(5, 5, 90.0), Minutia(7, 5, 10.0)),
-    )
-    vectors, skipped = all_pair_vectors(mset)
-    assert skipped == 1
-    assert len(vectors) == 2
+    # (a, b) share a position: that pair is skipped, the other two are binned
+    a, b, c = (5, 5, 0.0), (5, 5, 90.0), (7, 5, 10.0)
+    assert _codes(_pair_set(a, b, c)) == sorted({*_codes(_pair_set(a, c)), *_codes(_pair_set(b, c))})
 
 
 def test_quantize_oracle_bits():
-    cfg = QuantizationConfig(5, 5, 5, l_max=320.0)
-    v = PairVector(5.0, ALPHA_ORACLE, BETA_ORACLE)
-    # floor(5/10)=0, floor(306.87/11.25)=27, floor(36.87/11.25)=3
-    assert quantize(v, cfg) == "000001101100011"
-    assert quantize_code(v, cfg) == 867
+    # floor(5/10)=0, floor(306.87/11.25)=27, floor(36.87/11.25)=3:
+    # 0b00000_11011_00011 = 867, at l_max 320 and the default 540 alike
+    for cfg in (CFG320, QuantizationConfig()):
+        assert _codes(_pair_set((100, 100, 0.0), (103, 104, 90.0)), cfg) == [867]
 
 
 def test_quantize_zero_vector():
-    cfg = QuantizationConfig(5, 5, 5, l_max=320.0)
-    assert quantize(PairVector(0.0, 0.0, 0.0), cfg) == "0" * 15
+    # the lowest bin of every field is code 0
+    assert _codes(_pair_set((0, 0, 0.0), (9, 0, 0.0))) == [0]
 
 
 def test_quantize_clamps_top_bin():
-    cfg = QuantizationConfig(5, 5, 5, l_max=320.0)
-    assert quantize(PairVector(999.0, 0.0, 0.0), cfg)[:5] == "11111"
+    assert _codes(_pair_set((0, 0, 0.0), (999, 0, 0.0))) == [31 << 10]
 
 
 def test_quantize_monotone_in_length():
     cfg = QuantizationConfig(5, 5, 5, l_max=540.0)
-    rng = np.random.default_rng(3)
-    lengths = np.sort(rng.uniform(0, 540, size=200))
-    bins = [quantize_code(PairVector(float(l), 10.0, 20.0), cfg) >> 10 for l in lengths]
+    lengths = np.sort(np.random.default_rng(3).integers(1, 540, size=200))
+    bins = [_codes(_pair_set((0, 0, 0.0), (int(l), 0, 0.0)), cfg)[0] >> 10 for l in lengths]
     assert all(b1 <= b2 for b1, b2 in zip(bins, bins[1:]))
 
 
-def test_bin_to_bitstring_single_code():
-    cfg = QuantizationConfig(5, 5, 5, l_max=320.0)
-    v = PairVector(5.0, ALPHA_ORACLE, BETA_ORACLE)
-    fbs = bin_to_bitstring([v], cfg)
-    assert fbs.popcount == 1
-    assert fbs.bits[867] == 1
-
-
 def test_bin_to_bitstring_idempotent_duplicates():
-    cfg = QuantizationConfig(5, 5, 5, l_max=320.0)
-    v = PairVector(5.0, ALPHA_ORACLE, BETA_ORACLE)
-    assert bin_to_bitstring([v, v], cfg).popcount == 1
+    # (a, b) and (c, d) are one pair moved 300 px, so both quantize to 867
+    quad = (100, 100, 0.0), (103, 104, 90.0), (400, 100, 0.0), (403, 104, 90.0)
+    pair_codes = [_codes(_pair_set(*p))[0] for p in itertools.combinations(quad, 2)]
+    assert pair_codes.count(867) == 2
+    assert _codes(_pair_set(*quad)) == sorted(set(pair_codes))
 
 
 def test_bin_to_bitstring_distinct_codes():
-    # 28 vectors engineered into distinct codes, confirmed by brute-force
-    # enumeration of the quantized codes
-    cfg = QuantizationConfig(5, 5, 5, l_max=320.0)
-    vectors = [PairVector(10.0 * k + 5.0, 11.25 * k + 1.0, 1.0) for k in range(28)]
-    codes = {quantize_code(v, cfg) for v in vectors}
-    assert len(codes) == 28
-    assert bin_to_bitstring(vectors, cfg).popcount == 28
+    # eight minutiae whose 28 pairs, brute-force enumerated, fall in 28 bins
+    mset = synthesize_subject(8, 388, 374, seed=8)
+    assert extract_features(mset, CFG320).popcount == 28
+    assert extract_features_per_pair(mset, CFG320).popcount == 28
 
 
 def test_bin_to_bitstring_rejects_empty():
-    with pytest.raises(FeatureError, match="empty"):
-        bin_to_bitstring([], QuantizationConfig())
+    with pytest.raises(FeatureError, match="no valid pair"):
+        extract_features(_pair_set((5, 5, 0.0), (5, 5, 90.0)), QuantizationConfig())
 
 
 @pytest.mark.parametrize("n_p", [12, 15])
@@ -144,8 +154,7 @@ def test_extract_matches_per_pair_path():
     cfg = QuantizationConfig()
     for seed in range(5):
         mset = synthesize_subject(20, 388, 374, seed=seed)
-        vectors, _ = all_pair_vectors(mset)
-        assert extract_features(mset, cfg) == bin_to_bitstring(vectors, cfg)
+        assert extract_features(mset, cfg) == extract_features_per_pair(mset, cfg)
 
 
 def test_translation_invariance_exact():
@@ -154,12 +163,7 @@ def test_translation_invariance_exact():
         "t", 0, 400, 400,
         tuple(Minutia(m.x + 113, m.y + 87, m.theta) for m in mset.minutiae),
     )
-    va, _ = all_pair_vectors(mset)
-    vb, _ = all_pair_vectors(shifted)
-    for p, q in zip(va, vb):
-        assert q.L == pytest.approx(p.L, abs=1e-9)
-        assert q.alpha == pytest.approx(p.alpha, abs=1e-6)
-        assert q.beta == pytest.approx(p.beta, abs=1e-6)
+    assert list(pair_triplets(shifted)) == list(pair_triplets(mset))
 
 
 def _angle_close(a, b, tol):
@@ -203,12 +207,10 @@ def test_rotation_invariance_quarter_turns_on_minutiae():
         "r", 0, 200, 200,
         tuple(Minutia(200 - m.y, m.x, (m.theta + 90.0) % 360.0) for m in mset.minutiae),
     )
-    va, _ = all_pair_vectors(mset)
-    vb, _ = all_pair_vectors(rotated)
-    for p, q in zip(va, vb):
-        assert q.L == pytest.approx(p.L, abs=1e-9)
-        assert _angle_close(q.alpha, p.alpha, 1e-6)
-        assert _angle_close(q.beta, p.beta, 1e-6)
+    for p, q in zip(pair_triplets(mset), pair_triplets(rotated), strict=True):
+        assert q[0] == pytest.approx(p[0], abs=1e-9)
+        assert _angle_close(q[1], p[1], 1e-6)
+        assert _angle_close(q[2], p[2], 1e-6)
 
 
 def test_serialize_roundtrip():
@@ -331,6 +333,16 @@ def extract_features_per_pair_trig(mset, cfg):
     return FeatureBitString(bits, cfg.n_p)
 
 
+def _assert_matches_per_pair_trig(mset, cfg):
+    try:
+        expected = extract_features_per_pair_trig(mset, cfg)
+    except FeatureError:
+        with pytest.raises(FeatureError):
+            extract_features(mset, cfg)
+        return
+    assert extract_features(mset, cfg) == expected
+
+
 @given(crowded_sets(), st.sampled_from([3, 12, 15]))
 @settings(max_examples=100, deadline=None)
 def test_extract_matches_per_pair_trig(mset, n_p):
@@ -339,14 +351,7 @@ def test_extract_matches_per_pair_trig(mset, n_p):
     # that sits on a bin edge, so the scalar per-pair path is no exact
     # reference on crowded sets (two minutiae at (0, 1, 151) and (0, 0, 0)
     # give beta 90.0 there and 89.99999999999997 here at n_p=12)
-    cfg = QuantizationConfig.for_np(n_p)
-    try:
-        expected = extract_features_per_pair_trig(mset, cfg)
-    except FeatureError:
-        with pytest.raises(FeatureError):
-            extract_features(mset, cfg)
-        return
-    assert extract_features(mset, cfg) == expected
+    _assert_matches_per_pair_trig(mset, QuantizationConfig.for_np(n_p))
 
 
 @st.composite
@@ -372,14 +377,7 @@ def crowded_integer_degree_sets(draw):
 @given(crowded_integer_degree_sets(), st.sampled_from([12, 15]))
 @settings(max_examples=200, deadline=None)
 def test_extract_matches_hypot_reference_on_integer_degrees(mset, n_p):
-    cfg = QuantizationConfig.for_np(n_p)
-    try:
-        expected = extract_features_per_pair_trig(mset, cfg)
-    except FeatureError:
-        with pytest.raises(FeatureError):
-            extract_features(mset, cfg)
-        return
-    assert extract_features(mset, cfg) == expected
+    _assert_matches_per_pair_trig(mset, QuantizationConfig.for_np(n_p))
 
 
 # offsets of length exactly 135: 8 bin widths of 16.875 at n_p=15 and 4 of

@@ -145,17 +145,8 @@ def test_missing_symbol_falls_back_to_pow(monkeypatch):
         _openssl.libcrypto.cache_clear()
 
 
-def test_modexp_failure_raises(monkeypatch):
-    lib = _openssl.libcrypto()
-
-    class FailingExp:
-        def __getattr__(self, name):
-            return getattr(lib, name)
-
-        def BN_mod_exp_mont_consttime(self, *args):
-            return 0
-
-    monkeypatch.setattr(_openssl, "libcrypto", lambda: FailingExp())
+def test_modexp_failure_raises(fail_modexp):
+    fail_modexp()
     with pytest.raises(KeyAgreementError, match="modular exponentiation failed"):
         modexp(2, 5, 7)
 

@@ -12,9 +12,11 @@ from biokex.protocol import (
     MSG_DATA,
     MSG_DH_PUB,
     AbortReason,
+    HandshakeAborted,
     IntegrityError,
     MalformedMessageError,
     Phase,
+    ProtocolError,
     ProtocolStateError,
     ReplayError,
     SealedMessage,
@@ -51,6 +53,13 @@ def _handshake(ca_env, session_id=1, tok_a=b"token-a-0123456", tok_b=b"token-b-0
     return a, b, sk_a, sk_b
 
 
+def _verified_alice(ca_env, **kw):
+    """Alice's initiator endpoint once she has verified Bob's certificate."""
+    a = _endpoint(ca_env, "alice", initiator=True, **kw)
+    a.on_peer_certificate(_endpoint(ca_env, "bob", initiator=False).on_peer_certificate(a.initiate()))
+    return a
+
+
 def test_wire_message_roundtrip():
     msg = WireMessage(MSG_DATA, b"payload")
     blob = msg.encode()
@@ -75,11 +84,7 @@ def test_full_handshake_agrees(ca_env):
 
 
 def test_dh_message_is_261_bytes(ca_env):
-    a = _endpoint(ca_env, "alice", initiator=True)
-    b = _endpoint(ca_env, "bob", initiator=False)
-    cert_b = b.on_peer_certificate(a.initiate())
-    a.on_peer_certificate(cert_b)
-    frame = a.exchange_dh().encode()
+    frame = _verified_alice(ca_env).exchange_dh().encode()
     assert len(frame) == 261  # 1 type + 4 length + 256 value
 
 
@@ -138,13 +143,8 @@ def test_feature_extraction_failure_aborts(ca_env):
 
 
 def test_degenerate_peer_public_value_aborts(ca_env):
-    a = _endpoint(ca_env, "alice", initiator=True)
-    b = _endpoint(ca_env, "bob", initiator=False)
-    cert_b = b.on_peer_certificate(a.initiate())
-    a.on_peer_certificate(cert_b)
+    a = _verified_alice(ca_env)
     a.exchange_dh()
-    from biokex.protocol import HandshakeAborted
-
     with pytest.raises(HandshakeAborted) as exc:
         a.establish(WireMessage(MSG_DH_PUB, (1).to_bytes(256, "big")))
     assert exc.value.reason is AbortReason.DEGENERATE_PUBLIC_KEY
@@ -154,16 +154,31 @@ def test_degenerate_peer_public_value_aborts(ca_env):
 def test_non_residue_peer_public_value_aborts(ca_env):
     # 11 is a quadratic non-residue mod the RFC 3526 prime; accepting it would
     # leak the parity of the private exponent
-    a = _endpoint(ca_env, "alice", initiator=True)
-    b = _endpoint(ca_env, "bob", initiator=False)
-    a.on_peer_certificate(b.on_peer_certificate(a.initiate()))
+    a = _verified_alice(ca_env)
     a.exchange_dh()
-    from biokex.protocol import HandshakeAborted
-
     with pytest.raises(HandshakeAborted, match="not a quadratic residue") as exc:
         a.establish(WireMessage(MSG_DH_PUB, (11).to_bytes(256, "big")))
     assert exc.value.reason is AbortReason.DEGENERATE_PUBLIC_KEY
     assert a.state.phase is Phase.FAILED
+
+
+def test_exchange_dh_fails_closed_on_key_agreement_failure(ca_env, fail_modexp):
+    a = _verified_alice(ca_env)
+    fail_modexp()
+    assert a.exchange_dh().payload == bytes([AbortReason.KEY_AGREEMENT])
+    assert (a.state.phase, a.state.abort_reason) == (Phase.FAILED, AbortReason.KEY_AGREEMENT)
+    assert AbortReason.KEY_AGREEMENT.label == "key-agreement"
+
+
+def test_establish_fails_closed_on_key_agreement_failure(ca_env, fail_modexp):
+    a = _verified_alice(ca_env)
+    a.exchange_dh()
+    fail_modexp()
+    with pytest.raises(HandshakeAborted) as exc:
+        a.establish(WireMessage(MSG_DH_PUB, pow(2, 12345, RFC3526_2048.q).to_bytes(256, "big")))
+    assert exc.value.reason is AbortReason.KEY_AGREEMENT
+    assert a.state.phase is Phase.FAILED
+    assert a.abort_message().payload == bytes([AbortReason.KEY_AGREEMENT])
 
 
 def test_seal_open_roundtrip_including_empty(ca_env):
@@ -214,11 +229,7 @@ def test_fresh_transform_keys_change_public_and_session_keys(ca_env):
 def test_fresh_keys_differ_at_dh_stage(ca_env):
     frames = []
     for tok in (b"fresh-a-1-xxxxx", b"fresh-a-2-xxxxx"):
-        a = _endpoint(ca_env, "alice", initiator=True, token=tok)
-        b = _endpoint(ca_env, "bob", initiator=False, token=tok)
-        cert_b = b.on_peer_certificate(a.initiate())
-        a.on_peer_certificate(cert_b)
-        frames.append(a.exchange_dh().payload)
+        frames.append(_verified_alice(ca_env, token=tok).exchange_dh().payload)
     assert frames[0] != frames[1]
 
 
@@ -289,7 +300,7 @@ def test_never_established_without_verified_certificate(ca_env):
                             endpoint.exchange_dh()  # driver emits its value once verified
                     elif msg.msg_type == MSG_DH_PUB:
                         endpoint.establish(msg)
-                except Exception:
+                except ProtocolError:
                     pass
                 if endpoint.state.phase is Phase.ESTABLISHED:
                     assert verified, f"established without verification via {combo}"

@@ -359,14 +359,6 @@ def test_pipeline_template_from_features(rng):
     assert invert(template, KEY) == fbs
 
 
-def test_key_file_roundtrip(tmp_path):
-    path = tmp_path / "key.txt"
-    KEY.save(path)
-    loaded = TransformationKey.load(path)
-    assert loaded == KEY
-    assert path.read_text().splitlines()[0] == TOKEN.hex()
-
-
 def test_key_validation():
     with pytest.raises(TransformError):
         TransformationKey(b"")
