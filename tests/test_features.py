@@ -115,6 +115,13 @@ def test_quantize_monotone_in_length():
     assert all(b1 <= b2 for b1, b2 in zip(bins, bins[1:]))
 
 
+def test_bin_to_bitstring_single_code():
+    # one valid pair sets exactly one bit, the oracle code 867
+    fbs = extract_features(_pair_set((100, 100, 0.0), (103, 104, 90.0)), CFG320)
+    assert fbs.popcount == 1
+    assert fbs.bits[867] == 1
+
+
 def test_bin_to_bitstring_idempotent_duplicates():
     # (a, b) and (c, d) are one pair moved 300 px, so both quantize to 867
     quad = (100, 100, 0.0), (103, 104, 90.0), (400, 100, 0.0), (403, 104, 90.0)
