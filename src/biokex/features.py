@@ -22,7 +22,6 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -193,6 +192,7 @@ def extract_features(mset: MinutiaeSet, cfg: QuantizationConfig) -> FeatureBitSt
     scalar reference in the feature tests, wherever NumPy's trigonometry
     rounds as ``math``'s does.
 
+    The x, y and theta columns are the rows of the set's ``points`` array.
     Radians, cosine and sine are computed once per minutia and gathered per
     pair. The projection, alpha and beta keep :func:`pair_triplet`'s operands
     and order, computed in place in five pair-length buffers. L is binned
@@ -201,9 +201,8 @@ def extract_features(mset: MinutiaeSet, cfg: QuantizationConfig) -> FeatureBitSt
     integer, or not finite, L is recomputed with ``hypot``, so every L bin is
     the one ``hypot`` gives.
     """
-    ms = mset.minutiae
-    n = len(ms)
-    xs, ys, th = np.fromiter(chain.from_iterable(ms), np.float64, 3 * n).reshape(n, 3).T
+    xs, ys, th = mset.points
+    n = len(xs)
     rad = np.radians(th)
     cos_t, sin_t = np.cos(rad), np.sin(rad)
 

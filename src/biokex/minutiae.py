@@ -9,8 +9,11 @@ image processing is out of scope. The text format is the ingestion boundary:
 
 Angles are degrees, normalized into [0, 360) at parse time. Widths, heights
 and coordinates are at most ``MAX_COORDINATE`` (2**31 - 1). A
-:class:`Minutia` is a validated ``(x, y, theta)`` named tuple, so it equals
-the plain tuple of its fields and carries no per-instance ``__dict__``. All
+:class:`MinutiaeSet` holds its minutiae as one read-only (3, n) float64
+array, validated once on construction. Parsing, synthesis and perturbation
+hand it plain tuples or an array, so no per-minutia object exists on the
+evaluation path. :class:`Minutia`, a validated ``(x, y, theta)`` named
+tuple, is the element type of ``MinutiaeSet.minutiae``, built on demand. All
 types are immutable after construction and every operation here is a pure
 function, so concurrent use needs no locking.
 """
@@ -18,9 +21,10 @@ function, so concurrent use needs no locking.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
-from dataclasses import dataclass, replace
-from itertools import chain
+from collections.abc import Sequence
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -77,6 +81,7 @@ class Minutia(namedtuple("Minutia", "x y theta")):
     An immutable ``(x, y, theta)`` tuple: x and y coerce to ``int`` in
     [0, MAX_COORDINATE], theta to ``float`` in [0, 360). As a tuple it has no
     per-instance ``__dict__``, and it equals the plain tuple of its fields.
+    A :class:`MinutiaeSet` does not store these; it builds them on demand.
     """
 
     __slots__ = ()
@@ -96,44 +101,131 @@ class Minutia(namedtuple("Minutia", "x y theta")):
         return cls(*iterable)
 
 
-@dataclass(frozen=True)
+def _check_image_size(width: int, height: int) -> None:
+    if width <= 0 or height <= 0:
+        raise MinutiaeError(f"non-positive image size {width}x{height}")
+    if width > MAX_COORDINATE or height > MAX_COORDINATE:
+        raise MinutiaeError(f"image size {width}x{height} above {MAX_COORDINATE}")
+
+
+def _check_seed(seed, name: str) -> None:
+    """Reject what ``np.random.SeedSequence`` would, as a :class:`MinutiaeError`."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise MinutiaeError(f"{name} must be a non-negative integer, got {seed!r}")
+
+
+def _repeats(pts: np.ndarray) -> np.ndarray:
+    """Indices of the columns of a (3, n) array equal to an earlier one (as
+    tuples: 0.0 equals -0.0). The stable lexsort keeps equal columns in
+    source order, so the first of each run is the first occurrence."""
+    order = np.lexsort(pts[::-1])
+    ordered = pts.take(order, axis=1)
+    eq = ordered[:, 1:] == ordered[:, :-1]
+    return order[1:][eq[0] & eq[1] & eq[2]]
+
+
+def _checked_points(minutiae, width: int, height: int) -> np.ndarray:
+    """The read-only (3, n) float64 array of a set's minutiae, validated.
+
+    ``minutiae`` is a (3, n) array or a sequence of :class:`Minutia` or
+    (x, y, theta) triples. Each column is coerced and checked as
+    ``Minutia(x, y, theta)`` would be, then the set as a whole: image size,
+    at least two minutiae, every minutia inside the image, no duplicates.
+    An input that breaks several rules raises for the first in that order,
+    and within a rule for the first offending minutia in source order.
+    """
+    if isinstance(minutiae, np.ndarray):
+        pts = np.array(minutiae, dtype=np.float64, order="C")
+        if pts.ndim != 2 or pts.shape[0] != 3:
+            raise MinutiaeError(f"minutiae array of shape {pts.shape}, expected (3, n)")
+        rows = minutiae.T
+    else:
+        rows = tuple(minutiae)
+        try:
+            pts = np.array(list(zip(*rows, strict=True)), dtype=np.float64).reshape(3, len(rows))
+        except (TypeError, ValueError, OverflowError):
+            # rows that are not triples of numbers: Minutia coerces or rejects each
+            rows = [Minutia(*r) for r in rows]
+            pts = np.array(list(zip(*rows)), dtype=np.float64).reshape(3, len(rows))
+    xy = pts[:2]
+    # int() truncates; adding 0.0 turns the -0.0 of truncating (-1, 0) into 0.0
+    np.trunc(xy, out=xy)
+    xy += 0.0
+    (x_lo, y_lo, t_lo), (x_hi, y_hi, t_hi) = (
+        pts.min(axis=1, initial=0.0).tolist(), pts.max(axis=1, initial=0.0).tolist()
+    )
+    # NaN fails every comparison, as in Minutia
+    if not (x_lo >= 0.0 and y_lo >= 0.0 and t_lo >= 0.0
+            and x_hi <= MAX_COORDINATE and y_hi <= MAX_COORDINATE and t_hi < 360.0):
+        for r in rows:
+            Minutia(*r)  # raises for the first minutia it rejects
+
+    _check_image_size(width, height)
+    n = pts.shape[1]
+    if n < 2:
+        raise InsufficientMinutiaeError(f"insufficient minutiae: found {n}, need at least 2")
+    repeats = _repeats(pts)
+    if x_hi > width or y_hi > height or len(repeats):
+        outside = (xy[0] > width) | (xy[1] > height)
+        k = min(np.flatnonzero(outside).tolist() + repeats.tolist())
+        x, y, t = int(pts[0, k]), int(pts[1, k]), float(pts[2, k])
+        if outside[k]:
+            raise MinutiaeError(f"minutia ({x}, {y}) outside {width}x{height} image")
+        raise MinutiaeError(f"duplicate minutia {(x, y, t)}")
+    pts.setflags(write=False)
+    return pts
+
+
+@dataclass(frozen=True, eq=False)
 class MinutiaeSet:
     """One impression's minutiae with capture metadata.
 
-    Order is significant and preserved from the source. Needs at least two
-    minutiae (otherwise no pair vector exists) and no exact duplicates.
+    The minutiae are stored as ``points``, one read-only (3, n) float64 array
+    whose rows are the x, y and theta of every minutia, in source order; no
+    per-minutia object is kept. The constructor takes that array or a
+    sequence of :class:`Minutia` or (x, y, theta) triples, and validates it
+    once: a valid image size, at least two minutiae (otherwise no pair vector
+    exists), each inside the image, and no exact duplicates (as tuples, so
+    0.0 equals -0.0). ``minutiae`` builds the tuple of :class:`Minutia` on
+    demand. Two sets are equal when their metadata and minutiae are.
     """
 
     subject_id: str
     impression_id: int
     width: int
     height: int
-    minutiae: tuple[Minutia, ...]
+    minutiae: InitVar[Sequence[tuple[int, int, float]] | np.ndarray] = ()
+    points: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "minutiae", tuple(self.minutiae))
-        if self.width <= 0 or self.height <= 0:
-            raise MinutiaeError(f"non-positive image size {self.width}x{self.height}")
-        if self.width > MAX_COORDINATE or self.height > MAX_COORDINATE:
-            raise MinutiaeError(
-                f"image size {self.width}x{self.height} above {MAX_COORDINATE}"
-            )
-        if len(self.minutiae) < 2:
-            raise InsufficientMinutiaeError(
-                f"insufficient minutiae: found {len(self.minutiae)}, need at least 2"
-            )
-        seen = set()
-        for m in self.minutiae:
-            if m.x > self.width or m.y > self.height:
-                raise MinutiaeError(
-                    f"minutia ({m.x}, {m.y}) outside {self.width}x{self.height} image"
-                )
-            if m in seen:
-                raise MinutiaeError(f"duplicate minutia {tuple(m)}")
-            seen.add(m)
+    def __post_init__(self, minutiae):
+        object.__setattr__(self, "points", _checked_points(minutiae, self.width, self.height))
+
+    def _minutiae(self) -> tuple[Minutia, ...]:
+        return tuple(map(Minutia, *self.points.tolist()))
 
     def __len__(self) -> int:
-        return len(self.minutiae)
+        return self.points.shape[1]
+
+    def _key(self) -> tuple:
+        return (self.subject_id, self.impression_id, self.width, self.height)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key() and bool(np.array_equal(self.points, other.points))
+
+    def __hash__(self) -> int:
+        # Python floats hash 0.0 and -0.0 alike, as equality needs
+        return hash((self._key(), tuple(self.points.ravel().tolist())))
+
+    def __reduce__(self):
+        # copies and unpickled sets go through validation and stay read-only
+        return self.__class__, (*self._key(), self.points)
+
+
+# set after the dataclass is built, so that the ``minutiae`` InitVar keeps its
+# default; ``replace(mset, ...)`` reads the minutiae here
+MinutiaeSet.minutiae = property(MinutiaeSet._minutiae, doc="Tuple of Minutia, built on access.")
 
 
 @dataclass(frozen=True)
@@ -157,6 +249,7 @@ class PerturbationProfile:
                 raise MinutiaeError("perturbation sigmas must be finite and >= 0")
         if not 0.0 <= self.drop_rate <= 1.0 or not 0.0 <= self.spurious_rate <= 1.0:
             raise MinutiaeError("drop/spurious rates must lie in [0, 1]")
+        _check_seed(self.rng_seed, "rng_seed")
 
 
 def _format_theta(theta: float) -> str:
@@ -166,7 +259,8 @@ def _format_theta(theta: float) -> str:
 def serialize_minutiae(mset: MinutiaeSet) -> bytes:
     """Render the canonical text form (inverse of :func:`parse_minutiae_file`)."""
     lines = [f"{mset.width} {mset.height}"]
-    lines.extend(f"{m.x} {m.y} {_format_theta(m.theta)}" for m in mset.minutiae)
+    xs, ys, thetas = mset.points.tolist()
+    lines.extend(f"{int(x)} {int(y)} {_format_theta(t)}" for x, y, t in zip(xs, ys, thetas))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -201,7 +295,7 @@ def parse_minutiae_file(
             1, f"malformed header: size {width}x{height} above {MAX_COORDINATE}"
         )
 
-    minutiae: list[Minutia] = []
+    minutiae: list[tuple[int, int, float]] = []
     seen: set[tuple[int, int, float]] = set()
     last_line = 1
     for lineno, raw in enumerate(lines[1:], start=2):
@@ -230,13 +324,13 @@ def parse_minutiae_file(
         if key in seen:
             raise MinutiaeParseError(lineno, f"duplicate minutia {key}")
         seen.add(key)
-        minutiae.append(Minutia(x, y, theta))
+        minutiae.append(key)
 
     if len(minutiae) < 2:
         raise MinutiaeParseError(
             last_line, f"insufficient minutiae: found {len(minutiae)}, need at least 2"
         )
-    return MinutiaeSet(subject_id, impression_id, width, height, tuple(minutiae))
+    return MinutiaeSet(subject_id, impression_id, width, height, minutiae)
 
 
 def synthesize_subject(
@@ -250,14 +344,16 @@ def synthesize_subject(
 
     Pure function of its arguments: the same seed always yields the same set.
     Coordinates are drawn from [0, width] x [0, height] inclusive, angles
-    uniform over [0, 360).
+    uniform over [0, 360). Arguments are checked before the first draw.
     """
     if n_minutiae < 2:
         raise InsufficientMinutiaeError(
             f"insufficient minutiae: requested {n_minutiae}, need at least 2"
         )
+    _check_image_size(width, height)
+    _check_seed(seed, "seed")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    minutiae: list[Minutia] = []
+    minutiae: list[tuple[int, int, float]] = []
     seen: set[tuple[int, int, float]] = set()
     while len(minutiae) < n_minutiae:
         x = int(rng.integers(0, width, endpoint=True))
@@ -267,9 +363,9 @@ def synthesize_subject(
         if key in seen:
             continue
         seen.add(key)
-        minutiae.append(Minutia(x, y, theta))
+        minutiae.append(key)
     sid = subject_id if subject_id is not None else f"synth-{seed}"
-    return MinutiaeSet(sid, 0, width, height, tuple(minutiae))
+    return MinutiaeSet(sid, 0, width, height, minutiae)
 
 
 def perturb(mset: MinutiaeSet, profile: PerturbationProfile) -> MinutiaeSet:
@@ -287,22 +383,23 @@ def perturb(mset: MinutiaeSet, profile: PerturbationProfile) -> MinutiaeSet:
     :func:`normalize_degrees` does. Positional rounding can collide two
     survivors; the first occurrence is kept.
     """
-    return replace(mset, minutiae=_perturbed_minutiae(mset, profile))
+    return replace(mset, minutiae=_perturbed_points(mset, profile))
 
 
-def _perturbed_minutiae(mset: MinutiaeSet, profile: PerturbationProfile) -> tuple[Minutia, ...]:
-    """The minutiae of ``perturb(mset, profile)``, not yet wrapped in a set."""
+def _perturbed_points(mset: MinutiaeSet, profile: PerturbationProfile) -> np.ndarray:
+    """The (3, n) minutiae array of ``perturb(mset, profile)``, not yet a set."""
     rng = np.random.default_rng(np.random.SeedSequence(profile.rng_seed))
-    n = len(mset.minutiae)
-    pts = np.fromiter(chain.from_iterable(mset.minutiae), np.float64, 3 * n).reshape(n, 3)
+    n = len(mset)
+    xs, ys, thetas = mset.points
 
     dx = rng.normal(0.0, profile.translation_sigma, size=n)
     dy = rng.normal(0.0, profile.translation_sigma, size=n)
     dtheta = rng.normal(0.0, profile.rotation_sigma, size=n)
 
-    xs = np.clip(np.rint(pts[:, 0] + dx), 0, mset.width).astype(np.int64)
-    ys = np.clip(np.rint(pts[:, 1] + dy), 0, mset.height).astype(np.int64)
-    thetas = np.fmod(pts[:, 2] + dtheta, 360.0)
+    pts = np.empty((3, n))
+    np.clip(np.rint(xs + dx), 0, mset.width, out=pts[0])
+    np.clip(np.rint(ys + dy), 0, mset.height, out=pts[1])
+    thetas = np.fmod(thetas + dtheta, 360.0, out=pts[2])
     thetas[thetas < 0.0] += 360.0
     # fmod of a tiny negative can round up to exactly 360.0
     thetas[thetas >= 360.0] = 0.0
@@ -311,27 +408,32 @@ def _perturbed_minutiae(mset: MinutiaeSet, profile: PerturbationProfile) -> tupl
     if n_drop:
         keep = np.ones(n, dtype=bool)
         keep[rng.choice(n, size=n_drop, replace=False)] = False
-        xs, ys, thetas = xs[keep], ys[keep], thetas[keep]
-    moved = list(zip(xs.tolist(), ys.tolist(), thetas.tolist()))
+        pts = pts[:, keep]
 
     n_spurious = int(round(profile.spurious_rate * n))
-    seen = set(moved)
-    for _ in range(n_spurious):
-        while True:
-            x = int(rng.integers(0, mset.width, endpoint=True))
-            y = int(rng.integers(0, mset.height, endpoint=True))
-            theta = normalize_degrees(rng.uniform(0.0, 360.0))
-            if (x, y, theta) not in seen:
-                break
-        seen.add((x, y, theta))
-        moved.append((x, y, theta))
+    if n_spurious:
+        seen = set(zip(*pts.tolist()))
+        spurious = []
+        for _ in range(n_spurious):
+            while True:
+                x = int(rng.integers(0, mset.width, endpoint=True))
+                y = int(rng.integers(0, mset.height, endpoint=True))
+                theta = normalize_degrees(rng.uniform(0.0, 360.0))
+                if (x, y, theta) not in seen:
+                    break
+            seen.add((x, y, theta))
+            spurious.append((x, y, theta))
+        pts = np.concatenate((pts, np.array(spurious, dtype=np.float64).T), axis=1)
 
-    unique = dict.fromkeys(moved)
-    if len(unique) < 2:
+    # positional rounding can collide two survivors: keep the first
+    repeats = _repeats(pts)
+    if len(repeats):
+        pts = np.delete(pts, repeats, axis=1)
+    if pts.shape[1] < 2:
         raise InsufficientMinutiaeError(
-            f"insufficient minutiae: {len(unique)} left after perturbation"
+            f"insufficient minutiae: {pts.shape[1]} left after perturbation"
         )
-    return tuple(Minutia(*key) for key in unique)
+    return pts
 
 
 def synthesize_dataset(
@@ -352,6 +454,7 @@ def synthesize_dataset(
     """
     if n_subjects < 1 or n_impressions < 1:
         raise MinutiaeError("need at least one subject and one impression")
+    _check_seed(seed, "seed")
     dataset: list[list[MinutiaeSet]] = []
     for s in range(n_subjects):
         base_seed = int(np.random.SeedSequence([seed, s]).generate_state(1, np.uint64)[0])
@@ -361,7 +464,7 @@ def synthesize_dataset(
             sub_seed = int(
                 np.random.SeedSequence([seed, s, i]).generate_state(1, np.uint64)[0]
             )
-            moved = _perturbed_minutiae(base, replace(profile, rng_seed=sub_seed))
+            moved = _perturbed_points(base, replace(profile, rng_seed=sub_seed))
             impressions.append(MinutiaeSet(base.subject_id, i, base.width, base.height, moved))
         dataset.append(impressions)
     return dataset

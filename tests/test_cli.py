@@ -101,6 +101,17 @@ def test_eval_rejects_degenerate_gallery(tmp_path):
     assert proc.returncode == EXIT_DATA
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--synthetic", "--subjects", "2", "--impressions", "2", "--minutiae", "10",
+     "--seed", "-1", "--out", "x.csv"],
+    ["keygen", "--seed", "-1"],
+])
+def test_negative_seed_is_data_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(argv) == EXIT_DATA
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_attack_mitm_record(tmp_path):
     proc = run_cli(["attack", "--scenario", "mitm", "--seed", "1"], tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from biokex.features import QuantizationConfig, extract_features
 from biokex.minutiae import (
     MAX_COORDINATE,
     InsufficientMinutiaeError,
@@ -201,6 +202,164 @@ def test_minutiae_set_rejects_duplicates():
 def test_minutiae_set_needs_two():
     with pytest.raises(InsufficientMinutiaeError):
         MinutiaeSet("s", 0, 10, 10, (Minutia(1, 1, 0.0),))
+
+
+def checked_per_minutia(width, height, rows):
+    """Reference validation: each row made a :class:`Minutia` by the caller,
+    then the per-minutia loop ``MinutiaeSet`` ran on a tuple of them."""
+    minutiae = tuple(Minutia(*r) for r in rows)
+    if width <= 0 or height <= 0:
+        raise MinutiaeError(f"non-positive image size {width}x{height}")
+    if width > MAX_COORDINATE or height > MAX_COORDINATE:
+        raise MinutiaeError(f"image size {width}x{height} above {MAX_COORDINATE}")
+    if len(minutiae) < 2:
+        raise InsufficientMinutiaeError(
+            f"insufficient minutiae: found {len(minutiae)}, need at least 2"
+        )
+    seen = set()
+    for m in minutiae:
+        if m.x > width or m.y > height:
+            raise MinutiaeError(f"minutia ({m.x}, {m.y}) outside {width}x{height} image")
+        if m in seen:
+            raise MinutiaeError(f"duplicate minutia {tuple(m)}")
+        seen.add(m)
+    return minutiae
+
+
+def outcome(build):
+    """``build()``'s minutiae as reprs (so -0.0 and int/float show), or the
+    type and message of what it raised."""
+    try:
+        return [tuple(map(repr, m)) for m in build()]
+    except (ValueError, TypeError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def set_inputs(draw):
+    def side():
+        if draw(st.integers(0, 7)) == 5:
+            return draw(st.sampled_from([0, -2, MAX_COORDINATE, MAX_COORDINATE + 1]))
+        return draw(st.integers(1, 30))
+
+    width, height = side(), side()
+    # a few shared angles, so that exact duplicates are common
+    angles = st.one_of(
+        st.sampled_from([0.0, -0.0, 90.0, 359.5, 1e-300]),
+        st.floats(0.0, 360.0, exclude_max=True),
+    )
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, max(width, 0)), st.integers(0, max(height, 0)), angles),
+        min_size=1, max_size=10,
+    ))
+    # now and then a row outside the image, or one that is no valid Minutia
+    if draw(st.integers(0, 3)) == 2:
+        bad = draw(st.sampled_from([
+            (width + 1, 0, 0.0), (0, height + 1, 90.0), (-1, 0, 0.0),
+            (0, MAX_COORDINATE + 1, 0.0), (0, 0, 360.0), (0, 0, math.nan),
+        ]))
+        rows.insert(draw(st.integers(0, len(rows))), bad)
+    # twins of earlier rows: exact, float or fractional coordinates (which
+    # int() truncates), or the other signed zero
+    for _ in range(draw(st.integers(0, 2))):
+        x, y, t = draw(st.sampled_from(rows))
+        twin = draw(st.sampled_from([
+            (x, y, t), (float(x), y, t), (x, y + 0.5, t), (x, y, -t if t == 0.0 else t),
+        ]))
+        rows.insert(draw(st.integers(0, len(rows))), twin)
+    return width, height, rows
+
+
+@given(set_inputs())
+@settings(max_examples=400, deadline=None)
+def test_set_validation_matches_per_minutia_loop(args):
+    width, height, rows = args
+    expected = outcome(lambda: checked_per_minutia(width, height, rows))
+    assert outcome(lambda: MinutiaeSet("v", 0, width, height, rows).minutiae) == expected
+    array = np.array(rows, dtype=np.float64).reshape(-1, 3).T
+    assert outcome(lambda: MinutiaeSet("v", 0, width, height, array).minutiae) == expected
+    try:
+        as_minutiae = [Minutia(*r) for r in rows]
+    except ValueError:
+        return
+    assert outcome(lambda: MinutiaeSet("v", 0, width, height, as_minutiae).minutiae) == expected
+
+
+def test_set_stores_one_read_only_array():
+    mset = MinutiaeSet("s", 0, 10, 10, [(1, 2, 3.5), (4.0, 5, 0)])
+    assert mset.points.shape == (3, 2) and mset.points.flags.c_contiguous
+    assert mset.points.tolist() == [[1.0, 4.0], [2.0, 5.0], [3.5, 0.0]]
+    with pytest.raises(ValueError):
+        mset.points[0, 0] = 2.0
+    assert mset.minutiae == (Minutia(1, 2, 3.5), Minutia(4, 5, 0.0))
+    assert [type(v) for m in mset.minutiae for v in m] == [int, int, float] * 2
+    # coordinates truncate as int() does, to +0.0 from -0.5 and -0.0
+    cut = MinutiaeSet("s", 0, 10, 10, [(-0.5, 2.9, 1.0), (-0.0, 1, 2.0)])
+    assert cut.points[:2].tolist() == [[0.0, 0.0], [2.0, 1.0]]
+    assert not np.signbit(cut.points[:2]).any()
+    # built from the array, the set is the same and leaves its input writable
+    array = np.array([[1, 4], [2, 5], [3.5, 0.0]])
+    assert MinutiaeSet("s", 0, 10, 10, array) == mset
+    assert array.flags.writeable
+    assert replace(mset, impression_id=1).minutiae == mset.minutiae
+    back = pickle.loads(pickle.dumps(mset))
+    assert back == mset and hash(back) == hash(mset) and not back.points.flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (3, 2, 1)])
+def test_set_rejects_misshapen_arrays(shape):
+    with pytest.raises(MinutiaeError, match="shape"):
+        MinutiaeSet("s", 0, 10, 10, np.ones(shape))
+
+
+def test_gallery_path_builds_no_minutia(monkeypatch):
+    calls = []
+    original = Minutia.__new__
+
+    def counting(cls, *args):
+        calls.append(args)
+        return original(cls, *args)
+
+    monkeypatch.setattr(Minutia, "__new__", staticmethod(counting))
+    cfg = QuantizationConfig.for_np(15)
+    profile = PerturbationProfile(2.0, 4.0, 0.1, 0.1)
+    for row in synthesize_dataset(3, 3, profile, n_minutiae=40):
+        for mset in row:
+            extract_features(mset, cfg)
+            assert not mset.points.flags.writeable
+    assert calls == []
+    Minutia(1, 2, 3.0)  # the counter does see a construction
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+def test_synthesis_rejects_bad_seeds(seed):
+    with pytest.raises(MinutiaeError, match="seed must be a non-negative integer"):
+        synthesize_subject(30, 388, 374, seed=seed)
+    with pytest.raises(MinutiaeError, match="seed must be a non-negative integer"):
+        synthesize_dataset(2, 2, PerturbationProfile(), seed=seed)
+    with pytest.raises(MinutiaeError, match="rng_seed must be a non-negative integer"):
+        PerturbationProfile(rng_seed=seed)
+
+
+def test_synthesis_accepts_numpy_integer_seeds():
+    assert synthesize_subject(5, 50, 50, seed=np.uint64(2**63)) == synthesize_subject(
+        5, 50, 50, seed=2**63
+    )
+    assert PerturbationProfile(rng_seed=np.int64(3)).rng_seed == 3
+
+
+@pytest.mark.parametrize(
+    "width, height, fragment",
+    [(2**40, 374, "above"), (388, MAX_COORDINATE + 1, "above"), (0, 374, "non-positive")],
+)
+def test_synthesize_subject_checks_image_before_drawing(monkeypatch, width, height, fragment):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before checking the image size")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(MinutiaeError, match=fragment):
+        synthesize_subject(30, width, height, seed=1)
 
 
 def test_synthesize_deterministic():
