@@ -42,10 +42,9 @@ from .minutiae import MinutiaeSet, synthesize_subject
 from .protocol import (
     MSG_CERT,
     MSG_DATA,
+    NONCE_BYTES,
     AbortReason,
     HandshakeAborted,
-    Phase,
-    SealedMessage,
     SessionEndpoint,
     WireMessage,
 )
@@ -75,6 +74,9 @@ _DEFAULT_PLAINTEXTS = (
     ("a->b", b"meet at the north gate at nine"),
     ("b->a", b"confirmed, bring the documents"),
 )
+
+# every simulated party's fingerprint: minutiae count, image width and height
+_PARTY_MINUTIAE, _PARTY_WIDTH, _PARTY_HEIGHT = 30, 388, 374
 
 
 class SimulationError(ValueError):
@@ -131,8 +133,8 @@ class Channel:
         self.queues[direction].append(msg.encode())
 
     def deliver(self, direction: str) -> WireMessage:
-        if not self.queues[direction]:
-            raise SimulationError(f"nothing queued on {direction}")
+        if not self.queues.get(direction):
+            raise SimulationError(f"nothing queued on {direction!r}")
         frame = self.queues[direction].popleft()
         if self.adversary is not None:
             frame = self.adversary.intercept(direction, frame)
@@ -184,9 +186,8 @@ class SessionRecord:
         aead = AESGCM(key)
         opened = 0
         for _, payload in self.data_frames():
-            sealed = SealedMessage.decode(payload)
             try:
-                aead.decrypt(sealed.nonce, sealed.ciphertext_and_tag, None)
+                aead.decrypt(payload[:NONCE_BYTES], payload[NONCE_BYTES:], None)
                 opened += 1
             except InvalidTag:
                 pass
@@ -200,14 +201,7 @@ def make_environment(seed: int, record_path: str | Path | None = None) -> CaRegi
 
 
 def make_enrolled_party(
-    registry: CaRegistry,
-    user_id: str,
-    seed: int,
-    *,
-    n_minutiae: int = 30,
-    width: int = 388,
-    height: int = 374,
-    now: int | None = 0,
+    registry: CaRegistry, user_id: str, seed: int, *, now: int | None = 0
 ) -> PartyConfig:
     """Synthesize a subject, generate an RSA pair, and enroll with the CA."""
     uid_tag = int.from_bytes(hashlib.sha256(user_id.encode("utf-8")).digest()[:4], "big")
@@ -216,13 +210,10 @@ def make_enrolled_party(
     keypair = RsaKeyPair.generate(rsa_seed)
     identity = Identity(user_id)
     certificate = registry.enroll(identity, keypair.public_der, now=now)
-    fingerprint = synthesize_subject(n_minutiae, width, height, fp_seed, subject_id=user_id)
+    fingerprint = synthesize_subject(
+        _PARTY_MINUTIAE, _PARTY_WIDTH, _PARTY_HEIGHT, fp_seed, subject_id=user_id
+    )
     return PartyConfig(identity, keypair, certificate, fingerprint)
-
-
-def _raise_if_failed(endpoint: SessionEndpoint) -> None:
-    if endpoint.state.phase is Phase.FAILED:
-        raise HandshakeAborted(endpoint.state.abort_reason)
 
 
 def run_session(
@@ -251,38 +242,34 @@ def run_session(
             raise SimulationError(f"party {party.identity.user_id!r} not enrolled: {exc}") from None
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, session_id]))
-    ep_a = SessionEndpoint(
-        a.certificate, a.fingerprint, ca_public_key, initiator=True,
-        session_id=session_id, group=group, cfg=cfg,
-        transform_key=TransformationKey.random(rng, label=f"session-{session_id}-a"),
-    )
-    ep_b = SessionEndpoint(
-        b.certificate, b.fingerprint, ca_public_key, initiator=False,
-        session_id=session_id, group=group, cfg=cfg,
-        transform_key=TransformationKey.random(rng, label=f"session-{session_id}-b"),
+    ep_a, ep_b = (
+        SessionEndpoint(
+            party.certificate, party.fingerprint, ca_public_key, initiator=side == "a",
+            session_id=session_id, group=group, cfg=cfg,
+            transform_key=TransformationKey.random(rng, label=f"session-{session_id}-{side}"),
+        )
+        for side, party in (("a", a), ("b", b))
     )
     channel = Channel(adversary)
     record: SessionRecord | None = None
     failure: AbortReason | None = None
     try:
-        # certificates first; a failing side's abort frame is still delivered
+        # certificates first; a side that refuses one still sends its abort
+        # frame, which is delivered in its own direction
         channel.send("a->b", ep_a.initiate())
-        channel.send("b->a", ep_b.on_peer_certificate(channel.deliver("a->b")))
-        reply = channel.deliver("b->a")
-        _raise_if_failed(ep_b)
-        out = ep_a.on_peer_certificate(reply)
-        if out is not None:  # the initiator answers a certificate only to abort
-            channel.send("a->b", out)
-            channel.deliver("a->b")
-        _raise_if_failed(ep_a)
+        refusing = "b->a"
+        try:
+            channel.send("b->a", ep_b.on_peer_certificate(channel.deliver("a->b")))
+            refusing = "a->b"
+            ep_a.on_peer_certificate(channel.deliver("b->a"))
+        except HandshakeAborted as exc:
+            channel.send(refusing, exc.frame)
+            channel.deliver(refusing)
+            raise
 
-        # DH public values
-        msg_a = ep_a.exchange_dh()
-        _raise_if_failed(ep_a)
-        msg_b = ep_b.exchange_dh()
-        _raise_if_failed(ep_b)
-        channel.send("a->b", msg_a)
-        channel.send("b->a", msg_b)
+        # DH public values; an abort here sends no frame
+        channel.send("a->b", ep_a.exchange_dh())
+        channel.send("b->a", ep_b.exchange_dh())
         sk_b = ep_b.establish(channel.deliver("a->b"))
         sk_a = ep_a.establish(channel.deliver("b->a"))
 
@@ -291,8 +278,8 @@ def run_session(
             delivered: list[tuple[str, bytes]] = []
             for direction, plaintext in plaintexts:
                 sender, receiver = (ep_a, ep_b) if direction == "a->b" else (ep_b, ep_a)
-                channel.send(direction, sender.seal_message(plaintext))
-                delivered.append((direction, receiver.open_message(channel.deliver(direction))))
+                channel.send(direction, sender.seal(plaintext))
+                delivered.append((direction, receiver.open(channel.deliver(direction))))
             record = SessionRecord(session_id, sk_a.key, list(channel.delivered_log), delivered)
     except HandshakeAborted as exc:
         failure = exc.reason
@@ -377,7 +364,7 @@ def load_scenario(text: str) -> Scenario:
     """Parse the scenario definition format.
 
     Lines: ``adversary <mode>``, ``party <a|b> <user_id>``,
-    ``message <a->b|b->a> <text>``, ``seed <int>``; ``#`` comments ignored.
+    ``message <a->b|b->a> <text>``, ``seed <digits>``; ``#`` comments ignored.
     """
     mode: AdversaryMode | None = None
     parties = {"a": "alice", "b": "bob"}
@@ -403,6 +390,8 @@ def load_scenario(text: str) -> Scenario:
                 raise SimulationError(f"line {lineno}: direction must be a->b or b->a")
             messages.append((fields[1], fields[2].encode("utf-8")))
         elif kind == "seed" and len(fields) >= 2:
+            if not fields[1].isdecimal():
+                raise SimulationError(f"line {lineno}: seed must be a non-negative integer")
             seed = int(fields[1])
         else:
             raise SimulationError(f"line {lineno}: unrecognized scenario line {raw!r}")

@@ -17,10 +17,20 @@ transformation key would reuse the exponent and one compromised session
 would expose its siblings. With a fresh key each time, a leaked session key
 unlocks exactly one transcript.
 
-Nonces are 96-bit big-endian counters with the initiator counting from 0
-and the responder from 2**95, so the two directions can never collide under
-the shared key. A received counter at or below the last one seen is a
-replay and is rejected before decryption.
+Failure contract: each handshake step returns what it produces (the frame
+to send, or from ``establish`` the session key) or raises. A step called in
+the wrong phase raises :class:`ProtocolStateError` and changes nothing. Any
+other failure sets phase ``FAILED`` and ``abort_reason``, then raises
+:class:`HandshakeAborted`, which carries the ``reason`` and the abort
+``frame`` for the caller to send. No step returns an abort frame.
+
+A data frame is a ``MSG_DATA`` message whose payload is the 12-byte nonce,
+the ciphertext and the 16-byte tag. Nonces are 96-bit big-endian counters
+with the initiator counting from 0 and the responder from 2**95, so the two
+directions can never collide under the shared key. ``open`` checks the frame
+type and length, the phase, the nonce direction and counter, and only then
+the tag: a received counter at or below the last one seen is a replay and is
+rejected before decryption.
 
 One endpoint per session, driven sequentially by its owner (mailbox
 contract); independent sessions are independent objects.
@@ -30,7 +40,8 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NoReturn
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -57,10 +68,10 @@ __all__ = [
     "MSG_DH_PUB",
     "MSG_DATA",
     "MSG_ABORT",
+    "NONCE_BYTES",
     "Phase",
     "AbortReason",
     "WireMessage",
-    "SealedMessage",
     "HandshakeState",
     "SessionEndpoint",
     "ProtocolError",
@@ -76,8 +87,9 @@ MSG_DH_PUB = 0x02
 MSG_DATA = 0x03
 MSG_ABORT = 0x04
 
+NONCE_BYTES = 12
+_TAG_BYTES = 16
 _RESPONDER_NONCE_BASE = 1 << 95
-_NONCE_BYTES = 12
 
 
 class ProtocolError(Exception):
@@ -101,11 +113,13 @@ class ReplayError(ProtocolError):
 
 
 class HandshakeAborted(ProtocolError):
-    """Handshake failed; carries the machine-readable reason."""
+    """Handshake failed; carries the machine-readable reason and the abort
+    frame that tells the peer."""
 
     def __init__(self, reason: "AbortReason", detail: str = ""):
         super().__init__(f"handshake aborted: {reason.name.lower()} {detail}".rstrip())
         self.reason = reason
+        self.frame = WireMessage(MSG_ABORT, bytes([int(reason)]))
 
 
 class Phase(enum.Enum):
@@ -159,23 +173,6 @@ class WireMessage:
         return cls(msg_type, buf[5:])
 
 
-@dataclass(frozen=True)
-class SealedMessage:
-    """AEAD output: 12-byte counter nonce plus ciphertext-and-tag."""
-
-    nonce: bytes
-    ciphertext_and_tag: bytes
-
-    def encode(self) -> bytes:
-        return self.nonce + self.ciphertext_and_tag
-
-    @classmethod
-    def decode(cls, buf: bytes) -> "SealedMessage":
-        if len(buf) < _NONCE_BYTES + 16:
-            raise MalformedMessageError("sealed message shorter than nonce plus tag")
-        return cls(buf[:_NONCE_BYTES], buf[_NONCE_BYTES:])
-
-
 @dataclass
 class HandshakeState:
     phase: Phase = Phase.IDLE
@@ -190,9 +187,12 @@ class SessionEndpoint:
     """One party's view of one session.
 
     The initiator calls ``initiate``; both sides then feed peer messages to
-    ``on_peer_certificate`` / ``establish`` and emit with ``exchange_dh`` /
-    ``seal``. Private key material lives only in memory and ``close`` zeroizes
-    the session key exactly once.
+    ``on_peer_certificate`` / ``establish`` and emit with ``exchange_dh``.
+    Each step returns the frame to send (``None`` from the initiator's
+    ``on_peer_certificate``) or raises :class:`HandshakeAborted`, whose
+    ``frame`` is the abort to send, with phase ``FAILED``. Once established,
+    ``seal`` makes data frames and ``open`` reads them. Private key material
+    lives only in memory and ``close`` zeroizes the session key exactly once.
     """
 
     def __init__(
@@ -205,7 +205,7 @@ class SessionEndpoint:
         session_id: int = 0,
         group: DhGroup = RFC3526_2048,
         cfg: QuantizationConfig = QuantizationConfig(),
-        transform_key: TransformationKey | None = None,
+        transform_key: TransformationKey,
     ):
         self.certificate = certificate
         self.fingerprint = fingerprint
@@ -214,11 +214,7 @@ class SessionEndpoint:
         self.session_id = session_id
         self.group = group
         self.cfg = cfg
-        self.transform_key = (
-            transform_key
-            if transform_key is not None
-            else TransformationKey.random(label=f"session-{session_id}")
-        )
+        self.transform_key = transform_key
         self.state = HandshakeState()
         self.zeroize_count = 0
         self._private_key = None
@@ -237,21 +233,20 @@ class SessionEndpoint:
     def on_peer_certificate(self, msg: WireMessage) -> WireMessage | None:
         """Verify the peer certificate; emit our own when we are the responder.
 
-        On failure the endpoint fails closed and the returned message is an
-        abort carrying the reason code.
+        A malformed or unverifiable certificate aborts the handshake.
         """
         if self.state.phase not in (Phase.IDLE, Phase.CERT_SENT):
             raise ProtocolStateError(f"peer certificate in phase {self.state.phase.value}")
         responder = self.state.phase is Phase.IDLE
         if msg.msg_type != MSG_CERT:
-            return self._abort(AbortReason.MALFORMED_MESSAGE, f"expected cert, got 0x{msg.msg_type:02x}")
+            self._abort(AbortReason.MALFORMED_MESSAGE, f"expected cert, got 0x{msg.msg_type:02x}")
         try:
             cert = Certificate.decode(msg.payload)
             identity = verify_certificate(self.ca_public_key, cert)
         except MalformedCertificateError as exc:
-            return self._abort(AbortReason.MALFORMED_MESSAGE, str(exc))
+            self._abort(AbortReason.MALFORMED_MESSAGE, str(exc))
         except CaError as exc:
-            return self._abort(AbortReason.CERT_VERIFICATION, str(exc))
+            self._abort(AbortReason.CERT_VERIFICATION, str(exc))
         self.state.peer_identity = identity
         self.state.phase = Phase.PEER_VERIFIED
         if responder:
@@ -263,7 +258,7 @@ class SessionEndpoint:
         256-byte public value; PeerVerified -> PubKeySent.
 
         Feature extraction failure (too few usable minutiae) or a failed key
-        agreement computation emits an abort frame instead.
+        agreement computation aborts the handshake.
         """
         if self.state.phase is not Phase.PEER_VERIFIED:
             raise ProtocolStateError(f"exchange_dh in phase {self.state.phase.value}")
@@ -272,9 +267,9 @@ class SessionEndpoint:
                 self.fingerprint, self.cfg, self.transform_key, self.group
             )
         except FeatureError as exc:
-            return self._abort(AbortReason.FEATURE_EXTRACTION, str(exc))
+            self._abort(AbortReason.FEATURE_EXTRACTION, str(exc))
         except KeyAgreementError as exc:
-            return self._abort(AbortReason.KEY_AGREEMENT, str(exc))
+            self._abort(AbortReason.KEY_AGREEMENT, str(exc))
         self._private_key = prv
         self.state.phase = Phase.PUBKEY_SENT
         return WireMessage(MSG_DH_PUB, pub.to_bytes())
@@ -282,26 +277,20 @@ class SessionEndpoint:
     def establish(self, peer_pub: WireMessage) -> SessionKey:
         """Consume the peer's public value and derive the session key.
 
-        Raises :class:`HandshakeAborted` on a degenerate or malformed peer
-        value, or when the key agreement computation fails; the abort frame
-        to forward is available via ``abort_message``.
+        A malformed or degenerate peer value, or a failed key agreement
+        computation, aborts the handshake.
         """
         if self.state.phase is not Phase.PUBKEY_SENT:
             raise ProtocolStateError(f"establish in phase {self.state.phase.value}")
         if peer_pub.msg_type != MSG_DH_PUB or len(peer_pub.payload) != PUBLIC_KEY_BYTES:
             self._abort(AbortReason.MALFORMED_MESSAGE, "bad public key frame")
-            raise HandshakeAborted(AbortReason.MALFORMED_MESSAGE, "bad public key frame")
         try:
             value = PublicKey.from_bytes(peer_pub.payload)
             intermediate = shared_secret(self.group, self._private_key, value)
+        except DegenerateKeyError as exc:
+            self._abort(AbortReason.DEGENERATE_PUBLIC_KEY, str(exc))
         except KeyAgreementError as exc:
-            reason = (
-                AbortReason.DEGENERATE_PUBLIC_KEY
-                if isinstance(exc, DegenerateKeyError)
-                else AbortReason.KEY_AGREEMENT
-            )
-            self._abort(reason, str(exc))
-            raise HandshakeAborted(reason, str(exc)) from None
+            self._abort(AbortReason.KEY_AGREEMENT, str(exc))
         sk = session_key(intermediate, self.session_id)
         self._private_key = None
         self._key_buffer = bytearray(sk.key)
@@ -312,41 +301,37 @@ class SessionEndpoint:
 
     # -- established traffic -------------------------------------------------
 
-    def _nonce_base(self, sender_is_initiator: bool) -> int:
-        return 0 if sender_is_initiator else _RESPONDER_NONCE_BASE
-
-    def seal(self, plaintext: bytes) -> SealedMessage:
+    def seal(self, plaintext: bytes) -> WireMessage:
+        """Encrypt under the next send counter into a data frame."""
         if self.state.phase is not Phase.ESTABLISHED:
             raise ProtocolStateError(f"seal in phase {self.state.phase.value}")
-        nonce_value = self._nonce_base(self.initiator) | self.state.send_counter
-        nonce = nonce_value.to_bytes(_NONCE_BYTES, "big")
+        base = 0 if self.initiator else _RESPONDER_NONCE_BASE
+        nonce = (base | self.state.send_counter).to_bytes(NONCE_BYTES, "big")
         self.state.send_counter += 1
-        return SealedMessage(nonce, self._aead.encrypt(nonce, plaintext, None))
+        return WireMessage(MSG_DATA, nonce + self._aead.encrypt(nonce, plaintext, None))
 
-    def open(self, sealed: SealedMessage) -> bytes:
+    def open(self, msg: WireMessage) -> bytes:
+        """Authenticate and decrypt the peer's next data frame."""
+        if msg.msg_type != MSG_DATA:
+            raise MalformedMessageError(f"expected data frame, got 0x{msg.msg_type:02x}")
+        if len(msg.payload) < NONCE_BYTES + _TAG_BYTES:
+            raise MalformedMessageError("data frame shorter than nonce plus tag")
         if self.state.phase is not Phase.ESTABLISHED:
             raise ProtocolStateError(f"open in phase {self.state.phase.value}")
-        nonce_value = int.from_bytes(sealed.nonce, "big")
-        peer_base = self._nonce_base(not self.initiator)
+        nonce = msg.payload[:NONCE_BYTES]
+        nonce_value = int.from_bytes(nonce, "big")
+        peer_base = _RESPONDER_NONCE_BASE if self.initiator else 0
         if (nonce_value & _RESPONDER_NONCE_BASE) != peer_base:
             raise ReplayError("nonce from wrong direction")
         counter = nonce_value & (_RESPONDER_NONCE_BASE - 1)
         if counter <= self.state.recv_counter:
             raise ReplayError(f"nonce counter {counter} already seen")
         try:
-            plaintext = self._aead.decrypt(sealed.nonce, sealed.ciphertext_and_tag, None)
+            plaintext = self._aead.decrypt(nonce, msg.payload[NONCE_BYTES:], None)
         except InvalidTag:
             raise IntegrityError("authentication tag mismatch") from None
         self.state.recv_counter = counter
         return plaintext
-
-    def seal_message(self, plaintext: bytes) -> WireMessage:
-        return WireMessage(MSG_DATA, self.seal(plaintext).encode())
-
-    def open_message(self, msg: WireMessage) -> bytes:
-        if msg.msg_type != MSG_DATA:
-            raise MalformedMessageError(f"expected data frame, got 0x{msg.msg_type:02x}")
-        return self.open(SealedMessage.decode(msg.payload))
 
     # -- teardown ------------------------------------------------------------
 
@@ -360,18 +345,11 @@ class SessionEndpoint:
         self._aead = None
         self._private_key = None
         self.state.session_key = None
-        if self.state.phase is not Phase.FAILED:
-            self.state.phase = Phase.FAILED
+        self.state.phase = Phase.FAILED
 
     # -- helpers ---------------------------------------------------------------
 
-    def abort_message(self) -> WireMessage:
-        """Abort frame for the most recent failure (requires a failed state)."""
-        if self.state.abort_reason is None:
-            raise ProtocolStateError("no abort pending")
-        return WireMessage(MSG_ABORT, bytes([int(self.state.abort_reason)]))
-
-    def _abort(self, reason: AbortReason, detail: str = "") -> WireMessage:
+    def _abort(self, reason: AbortReason, detail: str = "") -> NoReturn:
         self.state.phase = Phase.FAILED
         self.state.abort_reason = reason
-        return WireMessage(MSG_ABORT, bytes([int(reason)]))
+        raise HandshakeAborted(reason, detail) from None

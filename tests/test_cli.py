@@ -105,9 +105,11 @@ def test_eval_rejects_degenerate_gallery(tmp_path):
     ["eval", "--synthetic", "--subjects", "2", "--impressions", "2", "--minutiae", "10",
      "--seed", "-1", "--out", "x.csv"],
     ["keygen", "--seed", "-1"],
+    ["attack", "--scenario-file", "scenario.txt"],
 ])
 def test_negative_seed_is_data_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenario.txt").write_text("adversary passive\nseed -3\n")
     assert dispatch(argv) == EXIT_DATA
     assert "seed must be a non-negative integer" in capsys.readouterr().err
 

@@ -1,7 +1,11 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from biokex.ca import CaRegistry, Identity, RsaKeyPair
+from biokex.minutiae import Minutia, MinutiaeSet
 from biokex.netsim import (
     AdversaryMode,
     AdversaryPolicy,
@@ -16,7 +20,7 @@ from biokex.netsim import (
     run_scenario,
     run_session,
 )
-from biokex.protocol import AbortReason, WireMessage, MSG_DATA
+from biokex.protocol import AbortReason, WireMessage, MSG_CERT, MSG_DATA
 
 
 def _passive_outcome(ca_env, adversary, seed=5):
@@ -53,11 +57,14 @@ def test_session_determinism(ca_env):
     assert other.record.key != one.record.key
 
 
+def _mallory_certificate():
+    rogue = CaRegistry(RsaKeyPair.generate(777))
+    return rogue.enroll(Identity("mallory"), RsaKeyPair.generate(778).public_der)
+
+
 def test_mitm_aborts_at_certificate_verification(ca_env):
     registry, alice, bob = ca_env
-    rogue = CaRegistry(RsaKeyPair.generate(777))
-    mallory_cert = rogue.enroll(Identity("mallory"), RsaKeyPair.generate(778).public_der)
-    adversary = AdversaryPolicy(AdversaryMode.MITM, attacker_certificate=mallory_cert)
+    adversary = AdversaryPolicy(AdversaryMode.MITM, attacker_certificate=_mallory_certificate())
     outcome = run_session(
         alice, bob, adversary, ca_public_key=registry.public_key, seed=3, session_id=1
     )
@@ -65,6 +72,52 @@ def test_mitm_aborts_at_certificate_verification(ca_env):
     assert outcome.failure_reason is AbortReason.CERT_VERIFICATION
     assert not outcome.attacker_learned_key
     assert not outcome.attacker_learned_plaintext
+
+
+class _SwapResponderCertificate(AdversaryPolicy):
+    """Substitutes a rogue certificate for the responder's ``b->a`` one only,
+    so the responder accepts and the initiator refuses."""
+
+    def intercept(self, direction, frame):
+        frame = super().intercept(direction, frame)
+        if direction == "b->a" and WireMessage.decode(frame).msg_type == MSG_CERT:
+            return WireMessage(MSG_CERT, self.attacker_certificate.encode()).encode()
+        return frame
+
+
+def _failing_initiator_and_adversary(alice, case):
+    if case == "mitm":
+        return alice, AdversaryPolicy(AdversaryMode.MITM, attacker_certificate=_mallory_certificate())
+    if case == "responder_cert_swap":
+        return alice, _SwapResponderCertificate(attacker_certificate=_mallory_certificate())
+    # all of alice's minutiae at one position: every pair is degenerate
+    stub = MinutiaeSet("stub", 0, 10, 10, (Minutia(5, 5, 0.0), Minutia(5, 5, 180.0)))
+    return dataclasses.replace(alice, fingerprint=stub), None
+
+
+@pytest.mark.parametrize(
+    "case, frames, reason, digest",
+    [
+        ("mitm", 2, AbortReason.CERT_VERIFICATION,
+         "52ca8a3b1f997cb87deec5d6d02d910235a23e96969ba91660a526ee50c14bd8"),
+        ("responder_cert_swap", 3, AbortReason.CERT_VERIFICATION,
+         "424718a340e6a2f4f727d5c7ce40192b6be114ebea53be32ed4369d7b195d3f7"),
+        ("coincident_minutiae", 2, AbortReason.FEATURE_EXTRACTION,
+         "5ecccb22b180f1f96832c91a884e5a5563d41907b1e24b7e44a4c75029d9554c"),
+    ],
+)
+def test_failure_transcripts_pinned(ca_env, case, frames, reason, digest):
+    # a refused certificate still sends the refusing side's abort frame in its
+    # own direction; a failure in the DH phase sends none
+    registry, alice, bob = ca_env
+    alice, adversary = _failing_initiator_and_adversary(alice, case)
+    outcome = run_session(
+        alice, bob, adversary, ca_public_key=registry.public_key, seed=3, session_id=1
+    )
+    assert not outcome.established
+    assert outcome.failure_reason is reason
+    assert len(outcome.transcript) == frames
+    assert hashlib.sha256(format_transcript(outcome.transcript).encode()).hexdigest() == digest
 
 
 def test_unenrolled_party_is_config_error(ca_env):
@@ -126,6 +179,8 @@ def test_channel_requires_queued_message():
         channel.deliver("a->b")
     with pytest.raises(SimulationError):
         channel.send("sideways", WireMessage(MSG_DATA, b""))
+    with pytest.raises(SimulationError, match="nothing queued on 'sideways'"):
+        channel.deliver("sideways")
 
 
 def test_transcript_export_format(ca_env):
@@ -162,6 +217,8 @@ def test_scenario_file_parsing():
         ("adversary mitm\nparty c x\n", "party must be"),
         ("adversary mitm\nmessage up hello\n", "direction"),
         ("adversary mitm\nbogus line here\n", "unrecognized"),
+        ("adversary mitm\nseed x\n", "line 2: seed must be a non-negative integer"),
+        ("adversary mitm\nseed -3\n", "line 2: seed must be a non-negative integer"),
     ],
 )
 def test_scenario_file_errors(text, fragment):

@@ -11,6 +11,7 @@ from biokex.protocol import (
     MSG_CERT,
     MSG_DATA,
     MSG_DH_PUB,
+    NONCE_BYTES,
     AbortReason,
     HandshakeAborted,
     IntegrityError,
@@ -19,7 +20,6 @@ from biokex.protocol import (
     ProtocolError,
     ProtocolStateError,
     ReplayError,
-    SealedMessage,
     SessionEndpoint,
     WireMessage,
 )
@@ -108,20 +108,37 @@ def test_rogue_certificate_aborts(ca_env):
     rogue_cert = rogue_registry.enroll(Identity("mallory"), mallory_keys.public_der)
 
     b = _endpoint(ca_env, "bob", initiator=False)
-    out = b.on_peer_certificate(WireMessage(MSG_CERT, rogue_cert.encode()))
+    with pytest.raises(HandshakeAborted) as exc:
+        b.on_peer_certificate(WireMessage(MSG_CERT, rogue_cert.encode()))
+    assert exc.value.reason is AbortReason.CERT_VERIFICATION
     assert b.state.phase is Phase.FAILED
     assert b.state.abort_reason is AbortReason.CERT_VERIFICATION
-    assert out.msg_type == MSG_ABORT
-    assert out.payload == bytes([AbortReason.CERT_VERIFICATION])
+    assert exc.value.frame == WireMessage(MSG_ABORT, bytes([AbortReason.CERT_VERIFICATION]))
 
 
 def test_truncated_certificate_payload_aborts_malformed(ca_env):
     registry, alice, _ = ca_env
     b = _endpoint(ca_env, "bob", initiator=False)
-    out = b.on_peer_certificate(WireMessage(MSG_CERT, alice.certificate.encode()[:20]))
+    with pytest.raises(HandshakeAborted) as exc:
+        b.on_peer_certificate(WireMessage(MSG_CERT, alice.certificate.encode()[:20]))
     assert b.state.phase is Phase.FAILED
     assert b.state.abort_reason is AbortReason.MALFORMED_MESSAGE
-    assert out.msg_type == MSG_ABORT
+    assert exc.value.frame.msg_type == MSG_ABORT
+
+
+def test_wrong_handshake_frames_abort_malformed(ca_env):
+    malformed = WireMessage(MSG_ABORT, bytes([AbortReason.MALFORMED_MESSAGE]))
+    b = _endpoint(ca_env, "bob", initiator=False)
+    with pytest.raises(HandshakeAborted) as exc:
+        b.on_peer_certificate(WireMessage(MSG_DH_PUB, b""))
+    assert (exc.value.reason, exc.value.frame, b.state.phase) == (
+        AbortReason.MALFORMED_MESSAGE, malformed, Phase.FAILED)
+    a = _verified_alice(ca_env)
+    a.exchange_dh()
+    with pytest.raises(HandshakeAborted) as exc:
+        a.establish(WireMessage(MSG_DH_PUB, b"\x02" * 255))
+    assert (exc.value.reason, exc.value.frame, a.state.phase) == (
+        AbortReason.MALFORMED_MESSAGE, malformed, Phase.FAILED)
 
 
 def test_feature_extraction_failure_aborts(ca_env):
@@ -137,8 +154,9 @@ def test_feature_extraction_failure_aborts(ca_env):
     b = _endpoint(ca_env, "bob", initiator=False)
     cert_b = b.on_peer_certificate(a.initiate())
     a.on_peer_certificate(cert_b)
-    out = a.exchange_dh()
-    assert out.msg_type == MSG_ABORT
+    with pytest.raises(HandshakeAborted) as exc:
+        a.exchange_dh()
+    assert exc.value.frame.msg_type == MSG_ABORT
     assert a.state.abort_reason is AbortReason.FEATURE_EXTRACTION
 
 
@@ -148,7 +166,7 @@ def test_degenerate_peer_public_value_aborts(ca_env):
     with pytest.raises(HandshakeAborted) as exc:
         a.establish(WireMessage(MSG_DH_PUB, (1).to_bytes(256, "big")))
     assert exc.value.reason is AbortReason.DEGENERATE_PUBLIC_KEY
-    assert a.abort_message().payload == bytes([AbortReason.DEGENERATE_PUBLIC_KEY])
+    assert exc.value.frame.payload == bytes([AbortReason.DEGENERATE_PUBLIC_KEY])
 
 
 def test_non_residue_peer_public_value_aborts(ca_env):
@@ -165,7 +183,9 @@ def test_non_residue_peer_public_value_aborts(ca_env):
 def test_exchange_dh_fails_closed_on_key_agreement_failure(ca_env, fail_modexp):
     a = _verified_alice(ca_env)
     fail_modexp()
-    assert a.exchange_dh().payload == bytes([AbortReason.KEY_AGREEMENT])
+    with pytest.raises(HandshakeAborted) as exc:
+        a.exchange_dh()
+    assert exc.value.frame.payload == bytes([AbortReason.KEY_AGREEMENT])
     assert (a.state.phase, a.state.abort_reason) == (Phase.FAILED, AbortReason.KEY_AGREEMENT)
     assert AbortReason.KEY_AGREEMENT.label == "key-agreement"
 
@@ -178,7 +198,7 @@ def test_establish_fails_closed_on_key_agreement_failure(ca_env, fail_modexp):
         a.establish(WireMessage(MSG_DH_PUB, pow(2, 12345, RFC3526_2048.q).to_bytes(256, "big")))
     assert exc.value.reason is AbortReason.KEY_AGREEMENT
     assert a.state.phase is Phase.FAILED
-    assert a.abort_message().payload == bytes([AbortReason.KEY_AGREEMENT])
+    assert exc.value.frame.payload == bytes([AbortReason.KEY_AGREEMENT])
 
 
 def test_seal_open_roundtrip_including_empty(ca_env):
@@ -238,10 +258,10 @@ def test_nonce_uniqueness_over_session_trace(ca_env):
     nonces = set()
     for i in range(50):
         sealed = a.seal(b"tick %d" % i)
-        nonces.add(sealed.nonce)
+        nonces.add(sealed.payload[:NONCE_BYTES])
         b.open(sealed)
         back = b.seal(b"tock %d" % i)
-        nonces.add(back.nonce)
+        nonces.add(back.payload[:NONCE_BYTES])
         a.open(back)
     assert len(nonces) == 100
 
@@ -260,11 +280,22 @@ def test_close_zeroizes_once(ca_env):
         a.seal(b"after close")
 
 
-def test_sealed_message_codec():
-    sealed = SealedMessage(b"n" * 12, b"c" * 24)
-    assert SealedMessage.decode(sealed.encode()) == sealed
+def test_open_rejects_malformed_data_frames(ca_env):
+    a, b, _, _ = _handshake(ca_env)
+    sealed = a.seal(b"framed")
+    assert sealed.msg_type == MSG_DATA
+    assert len(sealed.payload) == NONCE_BYTES + len(b"framed") + 16
+    with pytest.raises(MalformedMessageError, match="expected data frame"):
+        b.open(WireMessage(MSG_DH_PUB, sealed.payload))
+    with pytest.raises(MalformedMessageError, match="shorter than nonce plus tag"):
+        b.open(WireMessage(MSG_DATA, sealed.payload[:NONCE_BYTES + 15]))
+    # framing is checked before the phase
+    idle = _endpoint(ca_env, "bob", initiator=False)
     with pytest.raises(MalformedMessageError):
-        SealedMessage.decode(b"short")
+        idle.open(WireMessage(MSG_DATA, b"short"))
+    with pytest.raises(ProtocolStateError):
+        idle.open(sealed)
+    assert b.open(sealed) == b"framed"
 
 
 def test_never_established_without_verified_certificate(ca_env):
