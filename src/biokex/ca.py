@@ -16,6 +16,10 @@ reproducible. Miller-Rabin's witness exponentiation is
 its OpenSSL and ``pow`` paths give the same numbers, so a seed gives the
 same key either way.
 
+A registry lives in memory or in a CA directory that only ``CaRegistry``
+reads and writes: ``ca_key.pem``, ``ca_pub.der``, the audit file
+``registry.txt`` and one ``<id>.cert`` per enrollment.
+
 ``verify_certificate`` is pure and freely concurrent; ``CaRegistry.enroll``
 mutates the registry and follows a single-writer contract.
 """
@@ -52,6 +56,10 @@ __all__ = [
 
 RSA_BITS = 2048
 RSA_E = 65537
+_MR_ROUNDS = 40
+
+# the files of a CA directory
+_CA_KEY, _CA_PUB, _AUDIT = "ca_key.pem", "ca_pub.der", "registry.txt"
 
 
 class CaError(ValueError):
@@ -115,7 +123,7 @@ class _HashStream:
         return int.from_bytes(self.take((bits + 7) // 8), "big") % (1 << bits)
 
 
-def _is_probable_prime(n: int, stream: _HashStream, rounds: int = 40) -> bool:
+def _is_probable_prime(n: int, stream: _HashStream) -> bool:
     # Below 2 Miller-Rabin's set-up would halve d = n - 1 forever at n = 1.
     if n < 2:
         return False
@@ -129,7 +137,7 @@ def _is_probable_prime(n: int, stream: _HashStream, rounds: int = 40) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    for _ in range(_MR_ROUNDS):
         a = 2 + stream.take_int(n.bit_length() + 16) % (n - 3)
         x = modexp(a, d, n)
         if x in (1, n - 1):
@@ -203,13 +211,6 @@ class RsaKeyPair:
                 serialization.NoEncryption(),
             )
         )
-
-    @classmethod
-    def load_private(cls, path: str | Path) -> "RsaKeyPair":
-        key = serialization.load_pem_private_key(Path(path).read_bytes(), password=None)
-        if not isinstance(key, rsa.RSAPrivateKey):
-            raise CaError(f"{path}: not an RSA private key")
-        return cls(key)
 
 
 def _load_public_der(der: bytes) -> rsa.RSAPublicKey:
@@ -289,19 +290,53 @@ class CaRegistry:
     """Enrollment database plus the CA key pair.
 
     Enrollments are serialized by contract (one writer); verification needs
-    only the public key and never touches the registry. When a record path
-    is configured each enrollment appends one audit line:
-    "<user_id> <hex pub fingerprint> <timestamp>", and a registry opened on
-    an existing audit file starts with the ids it lists.
+    only the public key and never touches the registry.
+    ``CaRegistry(ca_keypair)`` keeps everything in memory. :meth:`create`
+    starts a registry in a CA directory and :meth:`open` reopens it; there
+    each enrollment appends one audit line "<user_id> <hex pub fingerprint>
+    <timestamp>" and writes ``<user_id>.cert``, and an id that is not one
+    printable file name is refused before anything is written. An id is
+    everything before an audit line's last two fields, so it may hold spaces.
     """
 
-    def __init__(self, ca_keypair: RsaKeyPair, record_path: str | Path | None = None):
+    def __init__(self, ca_keypair: RsaKeyPair):
         self.ca_keypair = ca_keypair
         self.enrolled: set[str] = set()
-        self.record_path = Path(record_path) if record_path is not None else None
-        if self.record_path is not None and self.record_path.exists():
-            lines = self.record_path.read_text(encoding="utf-8").splitlines()
-            self.enrolled.update(line.split()[0] for line in lines if line.strip())
+        self.directory: Path | None = None
+
+    @classmethod
+    def create(cls, directory: str | Path, ca_keypair: RsaKeyPair) -> "CaRegistry":
+        """Write the CA key, ``ca_pub.der`` and an empty audit file into
+        ``directory``, which must not already hold a CA key."""
+        directory = Path(directory)
+        key_path = directory / _CA_KEY
+        if key_path.exists():
+            raise CaError(f"{key_path} exists; a CA directory is initialized once")
+        directory.mkdir(parents=True, exist_ok=True)
+        ca_keypair.save_private(key_path)
+        (directory / _CA_PUB).write_bytes(ca_keypair.public_der)
+        (directory / _AUDIT).write_bytes(b"")
+        registry = cls(ca_keypair)
+        registry.directory = directory
+        return registry
+
+    @classmethod
+    def open(cls, directory: str | Path) -> "CaRegistry":
+        """Load the CA key of ``directory`` and the ids its audit file lists
+        (none when the file is missing)."""
+        directory = Path(directory)
+        key_path = directory / _CA_KEY
+        if not key_path.exists():
+            raise CaError(f"no CA key at {key_path}; run ca-init first")
+        key = serialization.load_pem_private_key(key_path.read_bytes(), password=None)
+        if not isinstance(key, rsa.RSAPrivateKey):
+            raise CaError(f"{key_path}: not an RSA private key")
+        registry = cls(RsaKeyPair(key))
+        registry.directory = directory
+        audit = directory / _AUDIT
+        lines = audit.read_text(encoding="utf-8").splitlines() if audit.exists() else []
+        registry.enrolled.update(line.rsplit(" ", 2)[0] for line in lines if line.strip())
+        return registry
 
     @property
     def public_key(self) -> rsa.RSAPublicKey:
@@ -321,12 +356,18 @@ class CaRegistry:
         )
         cert = Certificate(identity, user_public_der, digest, signature)
 
+        if self.directory is not None:
+            self._record(cert, timestamp)
         self.enrolled.add(identity.user_id)
-        if self.record_path is not None:
-            line = f"{identity.user_id} {cert.public_fingerprint} {timestamp}\n"
-            with self.record_path.open("a", encoding="utf-8") as fh:
-                fh.write(line)
         return cert
+
+    def _record(self, cert: Certificate, timestamp: int) -> None:
+        user_id = cert.identity.user_id
+        if not user_id.isprintable() or user_id in (".", "..") or set(user_id) & {"/", "\\"}:
+            raise CaError(f"user id {user_id!r} is not one printable file name")
+        with (self.directory / _AUDIT).open("a", encoding="utf-8") as fh:
+            fh.write(f"{user_id} {cert.public_fingerprint} {timestamp}\n")
+        (self.directory / f"{user_id}.cert").write_bytes(cert.encode())
 
 
 def verify_certificate(ca_public_key: rsa.RSAPublicKey, cert: Certificate) -> Identity:

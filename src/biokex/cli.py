@@ -20,10 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, netsim
-from .ca import CaError, CaRegistry, RsaKeyPair
+from .ca import CaError, CaRegistry
 from .features import FeatureError, QuantizationConfig, extract_features
 from .keyagree import RFC3526_2048, derive_private_key, public_key
 from .minutiae import (
+    SENSOR_HEIGHT,
+    SENSOR_WIDTH,
     MinutiaeError,
     PerturbationProfile,
     parse_minutiae_file,
@@ -107,26 +109,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ca_init(args) -> int:
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    registry = netsim.make_environment(args.seed, record_path=args.out_dir / "registry.txt")
-    registry.ca_keypair.save_private(args.out_dir / "ca_key.pem")
-    (args.out_dir / "ca_pub.der").write_bytes(registry.ca_keypair.public_der)
-    (args.out_dir / "registry.txt").touch()
+    netsim.make_environment(args.seed, args.out_dir)
     print(f"CA initialized in {args.out_dir}")
     return EXIT_OK
 
 
 def _cmd_enroll(args) -> int:
-    key_path = args.ca_dir / "ca_key.pem"
-    if not key_path.exists():
-        print(f"error: no CA key at {key_path}; run ca-init first", file=sys.stderr)
-        return EXIT_DATA
-    registry = CaRegistry(RsaKeyPair.load_private(key_path), args.ca_dir / "registry.txt")
+    registry = CaRegistry.open(args.ca_dir)
     party = netsim.make_enrolled_party(registry, args.user_id, args.seed, now=args.time)
-    cert_path = args.ca_dir / f"{args.user_id}.cert"
-    cert_path.write_bytes(party.certificate.encode())
     party.keypair.save_private(args.ca_dir / f"{args.user_id}_key.pem")
-    print(f"enrolled {args.user_id}; certificate at {cert_path}")
+    print(f"enrolled {args.user_id} in {args.ca_dir}")
     return EXIT_OK
 
 
@@ -209,7 +201,7 @@ def _cmd_keygen(args) -> int:
         mset = parse_minutiae_file(args.minutiae_file.read_bytes(),
                                    subject_id=args.minutiae_file.stem)
     else:
-        mset = synthesize_subject(args.minutiae, 388, 374, args.seed)
+        mset = synthesize_subject(args.minutiae, SENSOR_WIDTH, SENSOR_HEIGHT, args.seed)
     cfg = _cfg(args)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0x7E]))
     tkey = TransformationKey.random(rng, label="keygen")
@@ -243,6 +235,8 @@ def dispatch(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
         return _COMMANDS[args.command](args)
     except (MinutiaeError, FeatureError, CaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

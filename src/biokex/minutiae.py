@@ -30,6 +30,8 @@ import numpy as np
 
 __all__ = [
     "MAX_COORDINATE",
+    "SENSOR_WIDTH",
+    "SENSOR_HEIGHT",
     "Minutia",
     "MinutiaeSet",
     "PerturbationProfile",
@@ -44,6 +46,10 @@ __all__ = [
     "synthesize_dataset",
 ]
 
+
+# Image width and height of synthetic captures: the 388x374 sensor of
+# FVC2002 DB1.
+SENSOR_WIDTH, SENSOR_HEIGHT = 388, 374
 
 # Largest accepted image width, height and coordinate. Keeps every coordinate
 # difference exact in float64 and every pair length far from overflow.
@@ -442,8 +448,8 @@ def synthesize_dataset(
     profile: PerturbationProfile,
     *,
     n_minutiae: int = 30,
-    width: int = 388,
-    height: int = 374,
+    width: int = SENSOR_WIDTH,
+    height: int = SENSOR_HEIGHT,
     seed: int = 0,
 ) -> list[list[MinutiaeSet]]:
     """Build a synthetic gallery: ``dataset[s][i]`` is impression i of subject s.

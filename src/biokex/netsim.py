@@ -38,7 +38,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from .ca import CaRegistry, Certificate, Identity, RsaKeyPair, verify_certificate
 from .features import QuantizationConfig
 from .keyagree import DhGroup, RFC3526_2048
-from .minutiae import MinutiaeSet, synthesize_subject
+from .minutiae import SENSOR_HEIGHT, SENSOR_WIDTH, MinutiaeSet, synthesize_subject
 from .protocol import (
     MSG_CERT,
     MSG_DATA,
@@ -75,8 +75,8 @@ _DEFAULT_PLAINTEXTS = (
     ("b->a", b"confirmed, bring the documents"),
 )
 
-# every simulated party's fingerprint: minutiae count, image width and height
-_PARTY_MINUTIAE, _PARTY_WIDTH, _PARTY_HEIGHT = 30, 388, 374
+# minutiae in every simulated party's fingerprint
+_PARTY_MINUTIAE = 30
 
 
 class SimulationError(ValueError):
@@ -194,10 +194,12 @@ class SessionRecord:
         return opened
 
 
-def make_environment(seed: int, record_path: str | Path | None = None) -> CaRegistry:
-    """CA with a deterministic key pair derived from the seed."""
+def make_environment(seed: int, directory: str | Path | None = None) -> CaRegistry:
+    """CA with a deterministic key pair derived from the seed, in memory or
+    started in a CA directory (:meth:`CaRegistry.create`)."""
     ca_seed = int(np.random.SeedSequence([seed, 0xCA]).generate_state(1, np.uint64)[0])
-    return CaRegistry(RsaKeyPair.generate(ca_seed), record_path)
+    keypair = RsaKeyPair.generate(ca_seed)
+    return CaRegistry(keypair) if directory is None else CaRegistry.create(directory, keypair)
 
 
 def make_enrolled_party(
@@ -211,7 +213,7 @@ def make_enrolled_party(
     identity = Identity(user_id)
     certificate = registry.enroll(identity, keypair.public_der, now=now)
     fingerprint = synthesize_subject(
-        _PARTY_MINUTIAE, _PARTY_WIDTH, _PARTY_HEIGHT, fp_seed, subject_id=user_id
+        _PARTY_MINUTIAE, SENSOR_WIDTH, SENSOR_HEIGHT, fp_seed, subject_id=user_id
     )
     return PartyConfig(identity, keypair, certificate, fingerprint)
 

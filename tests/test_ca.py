@@ -125,25 +125,51 @@ def test_single_bit_flips_break_verification(ca, issued, rng):
 
 
 def test_registry_audit_lines(tmp_path):
-    path = tmp_path / "registry.txt"
-    registry = CaRegistry(RsaKeyPair.generate(444), record_path=path)
+    registry = CaRegistry.create(tmp_path / "ca", RsaKeyPair.generate(444))
     user = RsaKeyPair.generate(445)
     cert = registry.enroll(Identity("u1"), user.public_der, now=123)
     registry.enroll(Identity("u2"), RsaKeyPair.generate(446).public_der, now=456)
-    lines = path.read_text().splitlines()
+    lines = (tmp_path / "ca" / "registry.txt").read_text().splitlines()
     assert len(lines) == 2
     assert lines[0] == f"u1 {cert.public_fingerprint} 123"
     assert lines[1].startswith("u2 ") and lines[1].endswith(" 456")
+    assert (tmp_path / "ca" / "u1.cert").read_bytes() == cert.encode()
 
 
 def test_registry_reloads_audit_file(ca, user_keys, tmp_path):
+    CaRegistry.create(tmp_path, ca.ca_keypair)
     path = tmp_path / "registry.txt"
-    path.write_text("erin 00ff 1\n\n", encoding="utf-8")
-    registry = CaRegistry(ca.ca_keypair, record_path=path)
-    assert registry.enrolled == {"erin"}
-    with pytest.raises(EnrollmentConflictError):
-        registry.enroll(Identity("erin"), user_keys.public_der, now=1)
-    assert path.read_text(encoding="utf-8") == "erin 00ff 1\n\n"
+    path.write_text("erin 00ff 1\nbob smith 00ff 2\n\n", encoding="utf-8")
+    registry = CaRegistry.open(tmp_path)
+    assert registry.enrolled == {"erin", "bob smith"}
+    for user_id in ("erin", "bob smith"):
+        with pytest.raises(EnrollmentConflictError):
+            registry.enroll(Identity(user_id), user_keys.public_der, now=1)
+    assert path.read_text(encoding="utf-8") == "erin 00ff 1\nbob smith 00ff 2\n\n"
+
+
+def test_registry_enrolls_after_audit_file_deleted(ca, user_keys, tmp_path):
+    CaRegistry.create(tmp_path, ca.ca_keypair).enroll(Identity("u1"), user_keys.public_der, now=1)
+    (tmp_path / "registry.txt").unlink()
+    registry = CaRegistry.open(tmp_path)
+    assert registry.enrolled == set()
+    cert = registry.enroll(Identity("u2"), user_keys.public_der, now=2)
+    assert (tmp_path / "registry.txt").read_text() == f"u2 {cert.public_fingerprint} 2\n"
+
+
+@pytest.mark.parametrize("user_id", ["../outside", "a/b", "a\\b", ".", "..", "a\nb", "a\x00b", "a\u2028b"])
+def test_directory_registry_refuses_non_file_name_ids(ca, user_keys, tmp_path, user_id):
+    registry = CaRegistry.create(tmp_path / "ca", ca.ca_keypair)
+    with pytest.raises(CaError):
+        registry.enroll(Identity(user_id), user_keys.public_der, now=1)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "ca", "ca_key.pem", "ca_pub.der", "registry.txt",
+    ]
+    assert (tmp_path / "ca" / "registry.txt").read_bytes() == b""
+    assert registry.enrolled == set()
+    # in memory, and on the wire, every valid identity stays acceptable
+    cert = CaRegistry(ca.ca_keypair).enroll(Identity(user_id), user_keys.public_der, now=1)
+    assert verify_certificate(ca.public_key, Certificate.decode(cert.encode())) == Identity(user_id)
 
 
 def test_identity_limits():

@@ -106,6 +106,10 @@ def test_eval_rejects_degenerate_gallery(tmp_path):
      "--seed", "-1", "--out", "x.csv"],
     ["keygen", "--seed", "-1"],
     ["attack", "--scenario-file", "scenario.txt"],
+    ["session", "--seed", "-1"],
+    ["attack", "--scenario", "passive", "--seed", "-1"],
+    ["ca-init", "--out-dir", "ca", "--seed", "-1"],
+    ["enroll", "--ca-dir", "ca", "--user-id", "x", "--seed", "-1"],
 ])
 def test_negative_seed_is_data_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -226,6 +230,41 @@ def test_enroll_duplicate_user_is_data_error(tmp_path):
     assert first.returncode == 0, first.stderr
     second = run_cli(["enroll", "--ca-dir", "ca", "--user-id", "bob", "--seed", "7", "--time", "2"], tmp_path)
     assert second.returncode == EXIT_DATA
+
+
+def _tree(root):
+    return {str(f.relative_to(root)): f.read_bytes() for f in root.rglob("*") if f.is_file()}
+
+
+def test_enroll_id_with_space_is_refused_twice(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(["ca-init", "--out-dir", "ca", "--seed", "5"]) == 0
+    smith = ["enroll", "--ca-dir", "ca", "--user-id", "bob smith", "--time", "1"]
+    assert dispatch([*smith, "--seed", "6"]) == 0
+    before = _tree(tmp_path)
+    assert {"ca/bob smith.cert", "ca/bob smith_key.pem"} <= set(before)
+    assert dispatch([*smith, "--seed", "7"]) == EXIT_DATA
+    assert _tree(tmp_path) == before
+    assert dispatch(["enroll", "--ca-dir", "ca", "--user-id", "bob", "--seed", "7"]) == 0
+    assert (tmp_path / "ca" / "bob.cert").exists()
+
+
+@pytest.mark.parametrize("user_id", ["../outside", "two\nlines"])
+def test_enroll_id_that_is_not_a_file_name_writes_nothing(tmp_path, monkeypatch, user_id):
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(["ca-init", "--out-dir", "ca", "--seed", "5"]) == 0
+    before = _tree(tmp_path)
+    assert dispatch(["enroll", "--ca-dir", "ca", "--user-id", user_id, "--seed", "6"]) == EXIT_DATA
+    assert _tree(tmp_path) == before
+
+
+def test_ca_init_refuses_existing_ca(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(["ca-init", "--out-dir", "ca", "--seed", "5"]) == 0
+    before = _tree(tmp_path)
+    assert set(before) == {"ca/ca_key.pem", "ca/ca_pub.der", "ca/registry.txt"}
+    assert dispatch(["ca-init", "--out-dir", "ca", "--seed", "6"]) == EXIT_DATA
+    assert _tree(tmp_path) == before
 
 
 def test_enroll_without_ca_is_data_error(tmp_path):
