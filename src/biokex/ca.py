@@ -309,16 +309,22 @@ class CaRegistry:
         """Write the CA key, ``ca_pub.der`` and an empty audit file into
         ``directory``, which must not already hold a CA key."""
         directory = Path(directory)
-        key_path = directory / _CA_KEY
-        if key_path.exists():
-            raise CaError(f"{key_path} exists; a CA directory is initialized once")
+        cls.check_creatable(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        ca_keypair.save_private(key_path)
+        ca_keypair.save_private(directory / _CA_KEY)
         (directory / _CA_PUB).write_bytes(ca_keypair.public_der)
         (directory / _AUDIT).write_bytes(b"")
         registry = cls(ca_keypair)
         registry.directory = directory
         return registry
+
+    @staticmethod
+    def check_creatable(directory: str | Path) -> None:
+        """Refuse a directory that already holds a CA key, so that a caller
+        can refuse before generating one."""
+        key_path = Path(directory) / _CA_KEY
+        if key_path.exists():
+            raise CaError(f"{key_path} exists; a CA directory is initialized once")
 
     @classmethod
     def open(cls, directory: str | Path) -> "CaRegistry":
@@ -342,11 +348,22 @@ class CaRegistry:
     def public_key(self) -> rsa.RSAPublicKey:
         return self.ca_keypair.public_key
 
+    def check_enrollable(self, identity: Identity) -> None:
+        """Refuse an id already enrolled or, in a CA directory, one that is
+        not one printable file name, so that a caller can refuse before
+        generating the user's key pair."""
+        user_id = identity.user_id
+        if user_id in self.enrolled:
+            raise EnrollmentConflictError(f"user {user_id!r} already enrolled")
+        if self.directory is not None and (
+            not user_id.isprintable() or user_id in (".", "..") or set(user_id) & {"/", "\\"}
+        ):
+            raise CaError(f"user id {user_id!r} is not one printable file name")
+
     def enroll(
         self, identity: Identity, user_public_der: bytes, now: int | None = None
     ) -> Certificate:
-        if identity.user_id in self.enrolled:
-            raise EnrollmentConflictError(f"user {identity.user_id!r} already enrolled")
+        self.check_enrollable(identity)
         _load_public_der(user_public_der)
         timestamp = int(time.time()) if now is None else int(now)
 
@@ -363,8 +380,6 @@ class CaRegistry:
 
     def _record(self, cert: Certificate, timestamp: int) -> None:
         user_id = cert.identity.user_id
-        if not user_id.isprintable() or user_id in (".", "..") or set(user_id) & {"/", "\\"}:
-            raise CaError(f"user id {user_id!r} is not one printable file name")
         with (self.directory / _AUDIT).open("a", encoding="utf-8") as fh:
             fh.write(f"{user_id} {cert.public_fingerprint} {timestamp}\n")
         (self.directory / f"{user_id}.cert").write_bytes(cert.encode())

@@ -204,7 +204,7 @@ def _cmd_keygen(args) -> int:
         mset = synthesize_subject(args.minutiae, SENSOR_WIDTH, SENSOR_HEIGHT, args.seed)
     cfg = _cfg(args)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0x7E]))
-    tkey = TransformationKey.random(rng, label="keygen")
+    tkey = TransformationKey.random(rng)
     features = extract_features(mset, cfg)
     template = permute(features, tkey)
     prv = derive_private_key(template)

@@ -29,7 +29,6 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .features import QuantizationConfig
-from .keyagree import DhGroup, RFC3526_2048
 from .minutiae import MinutiaeSet
 from .pipeline import pair_session_key, private_key_from_minutiae, revocable_template
 from .transform import TransformationKey
@@ -189,7 +188,7 @@ def template_similarity_scores(
     one subject at a time and impostor pairs one row at a time, so the XOR
     temporaries stay at C(m, 2) or s - 1 templates.
     """
-    tkey = tkey if tkey is not None else TransformationKey(b"shared-eval-key!", "stolen-token")
+    tkey = tkey if tkey is not None else TransformationKey(b"shared-eval-key!")
     if len(dataset) < 2 or min(len(row) for row in dataset) < 2:
         raise EvaluationError("dataset needs >= 2 subjects with >= 2 impressions each")
     n_impressions = min(len(row) for row in dataset)
@@ -208,7 +207,6 @@ def session_key_sample(
     dataset: Sequence[Sequence[MinutiaeSet]],
     cfg: QuantizationConfig = QuantizationConfig(),
     *,
-    group: DhGroup = RFC3526_2048,
     seed: int = 0,
 ) -> list[bytes]:
     """One agreed session key per impostor pairing.
@@ -226,7 +224,7 @@ def session_key_sample(
         sk = pair_session_key(
             dataset[2 * k][0], TransformationKey.random(rng),
             dataset[2 * k + 1][0], TransformationKey.random(rng),
-            cfg, group, session_id=k,
+            cfg, session_id=k,
         )
         keys.append(sk.key)
     return keys

@@ -100,12 +100,13 @@ class FeatureBitString:
         return self.bits.shape[0]
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, FeatureBitString):
+        # exact types: a revocable template never equals a feature string
+        if type(other) is not type(self):
             return NotImplemented
         return self.n_p == other.n_p and bool(np.array_equal(self.bits, other.bits))
 
     def __repr__(self) -> str:
-        return f"FeatureBitString(n_p={self.n_p}, popcount={self.popcount})"
+        return f"{type(self).__name__}(n_p={self.n_p}, popcount={self.popcount})"
 
     @property
     def popcount(self) -> int:

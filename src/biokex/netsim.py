@@ -37,7 +37,6 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .ca import CaRegistry, Certificate, Identity, RsaKeyPair, verify_certificate
 from .features import QuantizationConfig
-from .keyagree import DhGroup, RFC3526_2048
 from .minutiae import SENSOR_HEIGHT, SENSOR_WIDTH, MinutiaeSet, synthesize_subject
 from .protocol import (
     MSG_CERT,
@@ -197,6 +196,8 @@ class SessionRecord:
 def make_environment(seed: int, directory: str | Path | None = None) -> CaRegistry:
     """CA with a deterministic key pair derived from the seed, in memory or
     started in a CA directory (:meth:`CaRegistry.create`)."""
+    if directory is not None:
+        CaRegistry.check_creatable(directory)
     ca_seed = int(np.random.SeedSequence([seed, 0xCA]).generate_state(1, np.uint64)[0])
     keypair = RsaKeyPair.generate(ca_seed)
     return CaRegistry(keypair) if directory is None else CaRegistry.create(directory, keypair)
@@ -209,8 +210,9 @@ def make_enrolled_party(
     uid_tag = int.from_bytes(hashlib.sha256(user_id.encode("utf-8")).digest()[:4], "big")
     ss = np.random.SeedSequence([seed, uid_tag])
     rsa_seed, fp_seed = (int(v) for v in ss.generate_state(2, np.uint64))
-    keypair = RsaKeyPair.generate(rsa_seed)
     identity = Identity(user_id)
+    registry.check_enrollable(identity)
+    keypair = RsaKeyPair.generate(rsa_seed)
     certificate = registry.enroll(identity, keypair.public_der, now=now)
     fingerprint = synthesize_subject(
         _PARTY_MINUTIAE, SENSOR_WIDTH, SENSOR_HEIGHT, fp_seed, subject_id=user_id
@@ -227,7 +229,6 @@ def run_session(
     session_id: int = 0,
     seed: int = 0,
     cfg: QuantizationConfig = QuantizationConfig(),
-    group: DhGroup = RFC3526_2048,
     plaintexts: tuple = _DEFAULT_PLAINTEXTS,
 ) -> SessionOutcome:
     """Drive one full session between two enrolled parties.
@@ -247,8 +248,7 @@ def run_session(
     ep_a, ep_b = (
         SessionEndpoint(
             party.certificate, party.fingerprint, ca_public_key, initiator=side == "a",
-            session_id=session_id, group=group, cfg=cfg,
-            transform_key=TransformationKey.random(rng, label=f"session-{session_id}-{side}"),
+            session_id=session_id, cfg=cfg, transform_key=TransformationKey.random(rng),
         )
         for side, party in (("a", a), ("b", b))
     )
@@ -378,7 +378,7 @@ def load_scenario(text: str) -> Scenario:
             continue
         fields = line.split(None, 2)
         kind = fields[0]
-        if kind == "adversary" and len(fields) >= 2:
+        if kind == "adversary" and len(fields) == 2:
             try:
                 mode = AdversaryMode(fields[1])
             except ValueError:
@@ -391,7 +391,7 @@ def load_scenario(text: str) -> Scenario:
             if fields[1] not in ("a->b", "b->a"):
                 raise SimulationError(f"line {lineno}: direction must be a->b or b->a")
             messages.append((fields[1], fields[2].encode("utf-8")))
-        elif kind == "seed" and len(fields) >= 2:
+        elif kind == "seed" and len(fields) == 2:
             if not fields[1].isdecimal():
                 raise SimulationError(f"line {lineno}: seed must be a non-negative integer")
             seed = int(fields[1])

@@ -2,10 +2,10 @@
 
 Order of play: certificates are exchanged and verified first, so a
 certificate substituted by an interposed attacker is refused; then each
-side derives a fresh DH key pair from its fingerprint under a per-session
-transformation key and exchanges the 256-byte public value, then both
-compute the same 256-bit session key. Data flows under AES-256-GCM with
-counter nonces.
+side derives a fresh DH key pair in the RFC 3526 2048-bit group from its
+fingerprint under a per-session transformation key and exchanges the
+256-byte public value, then both compute the same 256-bit session key.
+Data flows under AES-256-GCM with counter nonces.
 
 The DH public values are not signed: nothing binds them to the verified
 certificates, so a relay that forwards the genuine certificates and swaps
@@ -51,7 +51,6 @@ from .features import FeatureError, QuantizationConfig
 from .keyagree import (
     PUBLIC_KEY_BYTES,
     DegenerateKeyError,
-    DhGroup,
     KeyAgreementError,
     PublicKey,
     RFC3526_2048,
@@ -203,7 +202,6 @@ class SessionEndpoint:
         *,
         initiator: bool,
         session_id: int = 0,
-        group: DhGroup = RFC3526_2048,
         cfg: QuantizationConfig = QuantizationConfig(),
         transform_key: TransformationKey,
     ):
@@ -212,7 +210,6 @@ class SessionEndpoint:
         self.ca_public_key = ca_public_key
         self.initiator = initiator
         self.session_id = session_id
-        self.group = group
         self.cfg = cfg
         self.transform_key = transform_key
         self.state = HandshakeState()
@@ -263,9 +260,7 @@ class SessionEndpoint:
         if self.state.phase is not Phase.PEER_VERIFIED:
             raise ProtocolStateError(f"exchange_dh in phase {self.state.phase.value}")
         try:
-            prv, pub = keypair_from_minutiae(
-                self.fingerprint, self.cfg, self.transform_key, self.group
-            )
+            prv, pub = keypair_from_minutiae(self.fingerprint, self.cfg, self.transform_key)
         except FeatureError as exc:
             self._abort(AbortReason.FEATURE_EXTRACTION, str(exc))
         except KeyAgreementError as exc:
@@ -286,7 +281,7 @@ class SessionEndpoint:
             self._abort(AbortReason.MALFORMED_MESSAGE, "bad public key frame")
         try:
             value = PublicKey.from_bytes(peer_pub.payload)
-            intermediate = shared_secret(self.group, self._private_key, value)
+            intermediate = shared_secret(RFC3526_2048, self._private_key, value)
         except DegenerateKeyError as exc:
             self._abort(AbortReason.DEGENERATE_PUBLIC_KEY, str(exc))
         except KeyAgreementError as exc:

@@ -3,14 +3,16 @@
 A user-specific transformation key seeds a deterministic index stream; the
 i-th stream value j_i selects the bit swapped with position i, for
 i = 1..N in order. The composition is a bijection on N-bit strings, so a
-leaked template is revoked by switching to a fresh key. Keys live only in
-memory: a session draws a fresh one and stores none. The stream is a
-hash counter: index i is SHA-256(token || i as 8 big-endian bytes) reduced
-mod N, which keeps the permutation bit-exact across implementations and
-unbiased whenever N divides 2**256 (true for all power-of-two N). For
-power-of-two N the reduction mod N is exactly the low log2(N) bits of the
-digest, so the arrangement takes them from each digest's last big-endian
-32-bit word instead of reducing the 256-bit integer.
+leaked template is revoked by switching to a fresh key. The result is a
+:class:`RevocableTemplate`, a feature bit string of the same length that
+serializes the same way. Keys live only in memory: a session draws a fresh
+one and stores none. The stream is a hash counter: index i is
+SHA-256(token || i as 8 big-endian bytes) reduced mod N, which keeps the
+permutation bit-exact across implementations and unbiased whenever N
+divides 2**256 (true for all power-of-two N). For power-of-two N the
+reduction mod N is exactly the low log2(N) bits of the digest, so the
+arrangement takes them from each digest's last big-endian 32-bit word
+instead of reducing the 256-bit integer.
 
 SHA-256(token || BE64(i)) for i = 1..N is, byte for byte, the ANSI X9.63
 key derivation function's output (X9.63 section 5.6.3; the hash-based
@@ -31,7 +33,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
-import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,57 +60,24 @@ class TransformError(ValueError):
 
 @dataclass(frozen=True)
 class TransformationKey:
-    """Secret permutation seed plus a label identifying the key version."""
+    """Secret permutation seed; revoking a template means drawing a new one."""
 
     token: bytes
-    label: str = "default"
 
     def __post_init__(self):
         if not self.token:
             raise TransformError("empty transformation token")
 
     @classmethod
-    def random(cls, rng: np.random.Generator | None = None, label: str = "default") -> "TransformationKey":
-        token = rng.bytes(DEFAULT_TOKEN_LEN) if rng is not None else secrets.token_bytes(DEFAULT_TOKEN_LEN)
-        return cls(token, label)
+    def random(cls, rng: np.random.Generator) -> "TransformationKey":
+        return cls(rng.bytes(DEFAULT_TOKEN_LEN))
 
 
-class RevocableTemplate:
-    """Permuted feature bit string; same length and popcount as its source."""
+class RevocableTemplate(FeatureBitString):
+    """Permuted feature bit string: same length, popcount and wire form as
+    its source, and never equal to a plain :class:`FeatureBitString`."""
 
-    __slots__ = ("bits", "key_label")
-
-    def __init__(self, bits: np.ndarray, key_label: str):
-        bits = np.ascontiguousarray(bits, dtype=np.uint8)
-        n = bits.shape[0]
-        if bits.ndim != 1 or n == 0 or (n & (n - 1)) != 0:
-            raise TransformError(f"template length {n} is not a power of two")
-        bits.setflags(write=False)
-        self.bits = bits
-        self.key_label = key_label
-
-    def __len__(self) -> int:
-        return self.bits.shape[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RevocableTemplate):
-            return NotImplemented
-        return self.key_label == other.key_label and bool(np.array_equal(self.bits, other.bits))
-
-    def __repr__(self) -> str:
-        return f"RevocableTemplate(n={len(self)}, popcount={self.popcount}, key_label={self.key_label!r})"
-
-    @property
-    def n_p(self) -> int:
-        return int(len(self)).bit_length() - 1
-
-    @property
-    def popcount(self) -> int:
-        return int(self.bits.sum())
-
-    def serialize(self) -> bytes:
-        """Same packed wire form as the source feature bit string."""
-        return FeatureBitString(self.bits, self.n_p).serialize()
+    __slots__ = ()
 
 
 def _digests(token: bytes, count: int) -> ctypes.Array | bytes:
@@ -174,7 +142,7 @@ def _arrangement(token: bytes, n: int) -> np.ndarray:
 def permute(fbs: FeatureBitString, key: TransformationKey) -> RevocableTemplate:
     """Apply the keyed swap permutation; preserves length and popcount."""
     arr = _arrangement(key.token, len(fbs))
-    return RevocableTemplate(fbs.bits[arr], key.label)
+    return RevocableTemplate(fbs.bits[arr], fbs.n_p)
 
 
 def invert(template: RevocableTemplate, key: TransformationKey) -> FeatureBitString:

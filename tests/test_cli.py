@@ -10,6 +10,7 @@ import pytest
 
 import biokex
 from biokex import netsim
+from biokex.ca import RsaKeyPair
 from biokex.cli import EXIT_DATA, EXIT_USAGE, dispatch
 from biokex.evaluation import ROC_CSV_HEADER
 from biokex.features import QuantizationConfig
@@ -267,6 +268,28 @@ def test_ca_init_refuses_existing_ca(tmp_path, monkeypatch):
     assert _tree(tmp_path) == before
 
 
+def test_refusals_come_before_rsa_key_generation(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(["ca-init", "--out-dir", "ca", "--seed", "5"]) == 0
+    assert dispatch(["enroll", "--ca-dir", "ca", "--user-id", "bob", "--seed", "6"]) == 0
+    capsys.readouterr()
+
+    def no_keygen(*args, **kwargs):
+        raise AssertionError("RSA key generation before the refusal")
+
+    monkeypatch.setattr(RsaKeyPair, "generate", no_keygen)
+    cases = [
+        (["enroll", "--ca-dir", "ca", "--user-id", "bob"], "error: user 'bob' already enrolled"),
+        (["enroll", "--ca-dir", "ca", "--user-id", "../outside"],
+         "error: user id '../outside' is not one printable file name"),
+        (["ca-init", "--out-dir", "ca"],
+         f"error: {Path('ca', 'ca_key.pem')} exists; a CA directory is initialized once"),
+    ]
+    for argv, message in cases:
+        assert dispatch([*argv, "--seed", "7"]) == EXIT_DATA, argv
+        assert capsys.readouterr().err.strip() == message
+
+
 def test_enroll_without_ca_is_data_error(tmp_path):
     proc = run_cli(["enroll", "--ca-dir", "missing", "--user-id", "x", "--seed", "1"], tmp_path)
     assert proc.returncode == EXIT_DATA
@@ -326,7 +349,7 @@ def test_no_outputs_contain_template_bytes(tmp_path):
     profile = PerturbationProfile(translation_sigma=2.0, rotation_sigma=4.0, drop_rate=0.05)
     dataset = synthesize_dataset(6, 3, profile, n_minutiae=40, seed=42)
     cfg = QuantizationConfig.for_np(15, l_max=540.0)
-    tkey = TransformationKey(b"shared-eval-key!", "stolen-token")
+    tkey = TransformationKey(b"shared-eval-key!")
     template = revocable_template(dataset[0][0], cfg, tkey)
     packed = np.packbits(template.bits, bitorder="big").tobytes()
 

@@ -270,7 +270,7 @@ def test_write_summary_records(tmp_path, rng):
 # --- batched scoring and sweep against their per-pair and per-threshold forms ---
 
 def test_template_scores_match_per_pair_path(small_dataset, cfg12):
-    tkey = TransformationKey(b"per-pair-oracle!", "oracle")
+    tkey = TransformationKey(b"per-pair-oracle!")
     # a ragged gallery: the pairings use the shortest row's impressions
     dataset = [list(row) for row in small_dataset]
     dataset[3] = dataset[3] + [dataset[4][0]]

@@ -47,7 +47,7 @@ RFC3526_GROUP14_HEX = "".join((
 
 
 def _template(bits_array):
-    return RevocableTemplate(bits_array, "t")
+    return RevocableTemplate(bits_array, 12)
 
 
 def test_sha256_primitive_wiring():
@@ -374,8 +374,8 @@ def test_pipeline_end_to_end_agreement(rng):
     bits_b = (rng.random(1 << 12) < 0.4).astype(np.uint8)
     fa = FeatureBitString(bits_a, 12)
     fb = FeatureBitString(bits_b, 12)
-    ka = TransformationKey(rng.bytes(16), "a")
-    kb = TransformationKey(rng.bytes(16), "b")
+    ka = TransformationKey(rng.bytes(16))
+    kb = TransformationKey(rng.bytes(16))
     prv_a = derive_private_key(permute(fa, ka))
     prv_b = derive_private_key(permute(fb, kb))
     ya = public_key(RFC3526_2048, prv_a)

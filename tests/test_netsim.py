@@ -219,6 +219,8 @@ def test_scenario_file_parsing():
         ("adversary mitm\nbogus line here\n", "unrecognized"),
         ("adversary mitm\nseed x\n", "line 2: seed must be a non-negative integer"),
         ("adversary mitm\nseed -3\n", "line 2: seed must be a non-negative integer"),
+        ("adversary mitm extra words\n", "line 1: unrecognized scenario line 'adversary mitm extra"),
+        ("adversary mitm\nseed 9 junk\n", "line 2: unrecognized scenario line 'seed 9 junk'"),
     ],
 )
 def test_scenario_file_errors(text, fragment):

@@ -35,7 +35,7 @@ def _endpoint(ca_env, party, *, initiator, session_id=1, token=b"0123456789abcde
         registry.public_key,
         initiator=initiator,
         session_id=session_id,
-        transform_key=TransformationKey(token + party.encode(), party),
+        transform_key=TransformationKey(token + party.encode()),
         **kw,
     )
 

@@ -22,7 +22,7 @@ from biokex.transform import (
 )
 
 TOKEN = bytes(range(16))
-KEY = TransformationKey(TOKEN, "unit")
+KEY = TransformationKey(TOKEN)
 
 # frozen reference: SHA-256(token 00..0f || 0x0000000000000001) mod 2**15,
 # computed independently with hashlib at test-writing time
@@ -309,7 +309,16 @@ def test_permute_preserves_popcount_and_label(rng):
     template = permute(fbs, KEY)
     assert template.popcount == fbs.popcount
     assert len(template) == len(fbs)
-    assert template.key_label == "unit"
+
+
+def test_template_never_equals_feature_string(rng):
+    fbs = _random_fbs(rng, n_p=12)
+    template = permute(fbs, KEY)
+    plain = FeatureBitString(template.bits, template.n_p)
+    assert not template == plain
+    assert not plain == template
+    assert template != plain and plain != template
+    assert template == permute(fbs, KEY)
 
 
 def test_invert_roundtrip_large(rng):
