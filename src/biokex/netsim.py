@@ -17,9 +17,14 @@ Adversary modes:
 
 "Attacker learned X" is operationalized as: the bytes of X occur in the
 adversary's stored state. That is a falsifiable predicate, not an
-information-theoretic claim. Biometric data never enters any persisted or
-captured state; an adversary resident in a host's memory during capture is
-outside this model.
+information-theoretic claim. ``run_session`` takes one snapshot of that
+state per session and tests every plaintext against it in one pass: an
+exact filter on the snapshot's aligned 8-byte words, then the substring
+search for the plaintexts the filter cannot rule out. The filter never
+changes the answer, only how many full scans it takes.
+
+Biometric data never enters any persisted or captured state; an adversary
+resident in a host's memory during capture is outside this model.
 """
 
 from __future__ import annotations
@@ -113,6 +118,29 @@ class AdversaryPolicy:
         return material in self.state_blob()
 
 
+def _occurs_any(needles: list[bytes], haystack: bytes) -> bool:
+    """Exactly ``any(n in haystack for n in needles)``, without one full scan
+    of the haystack per needle.
+
+    The haystack's 8-byte words at offsets 0, 8, 16, ... are sorted once. An
+    occurrence at offset i of a needle of 15 bytes or more contains the word
+    at j = ceil(i / 8) * 8, which is the needle's window at d = j - i <= 7,
+    since j + 8 <= i + 15. A long needle none of whose eight windows is such a
+    word cannot occur and skips the substring search; every other needle
+    takes it.
+    """
+    words = np.sort(np.frombuffer(haystack, np.uint64, len(haystack) // 8))
+    long = [n for n in needles if len(n) >= 15]
+    windows = np.frombuffer(
+        b"".join(n[d:d + 8] for n in long for d in range(8)), np.uint64
+    ).reshape(-1, 8)
+    hits = (
+        np.searchsorted(words, windows, "right") > np.searchsorted(words, windows, "left")
+    ).any(axis=1)
+    short = [n for n in needles if len(n) < 15]
+    return any(n in haystack for n in short + [n for n, hit in zip(long, hits) if hit])
+
+
 def format_transcript(transcript: list[tuple[str, bytes]]) -> str:
     """Newline-delimited ``"<direction> <hex frame>"`` records, one per frame."""
     return "\n".join(f"{d} {f.hex()}" for d, f in transcript) + "\n"
@@ -165,7 +193,7 @@ class SessionOutcome:
 @dataclass
 class SessionRecord:
     """Retained by the simulator for offline analysis (test instrumentation;
-    the parties themselves zeroize at teardown)."""
+    the parties themselves drop their key material at teardown)."""
 
     session_id: int
     key: bytes
@@ -294,7 +322,9 @@ def run_session(
     return SessionOutcome(
         established=record is not None,
         attacker_learned_key=blob is not None and record is not None and record.key in blob,
-        attacker_learned_plaintext=blob is not None and any(p in blob for _, p in plaintexts),
+        attacker_learned_plaintext=blob is not None and _occurs_any(
+            [p for _, p in plaintexts], blob
+        ),
         failure_reason=failure,
         session_id=session_id,
         record=record,

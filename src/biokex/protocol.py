@@ -191,7 +191,11 @@ class SessionEndpoint:
     ``on_peer_certificate``) or raises :class:`HandshakeAborted`, whose
     ``frame`` is the abort to send, with phase ``FAILED``. Once established,
     ``seal`` makes data frames and ``open`` reads them. Private key material
-    lives only in memory and ``close`` zeroizes the session key exactly once.
+    lives only in memory. ``close`` drops this endpoint's references to the
+    DH private key, the session key and its AES-GCM context, and leaves the
+    endpoint unusable; it cannot wipe them, because CPython ``bytes`` are
+    immutable and the :class:`SessionKey` returned by ``establish`` stays
+    with the caller.
     """
 
     def __init__(
@@ -213,9 +217,7 @@ class SessionEndpoint:
         self.cfg = cfg
         self.transform_key = transform_key
         self.state = HandshakeState()
-        self.zeroize_count = 0
         self._private_key = None
-        self._key_buffer: bytearray | None = None
         self._aead: AESGCM | None = None
 
     # -- handshake ---------------------------------------------------------
@@ -288,8 +290,7 @@ class SessionEndpoint:
             self._abort(AbortReason.KEY_AGREEMENT, str(exc))
         sk = session_key(intermediate, self.session_id)
         self._private_key = None
-        self._key_buffer = bytearray(sk.key)
-        self._aead = AESGCM(bytes(self._key_buffer))
+        self._aead = AESGCM(sk.key)
         self.state.session_key = sk
         self.state.phase = Phase.ESTABLISHED
         return sk
@@ -331,12 +332,7 @@ class SessionEndpoint:
     # -- teardown ------------------------------------------------------------
 
     def close(self) -> None:
-        """Destroy session key material; idempotent, zeroizes once."""
-        if self._key_buffer is not None:
-            for i in range(len(self._key_buffer)):
-                self._key_buffer[i] = 0
-            self._key_buffer = None
-            self.zeroize_count += 1
+        """Drop the key material and end the session; idempotent."""
         self._aead = None
         self._private_key = None
         self.state.session_key = None

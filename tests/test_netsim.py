@@ -3,6 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biokex.ca import CaRegistry, Identity, RsaKeyPair
 from biokex.minutiae import Minutia, MinutiaeSet
@@ -12,6 +13,7 @@ from biokex.netsim import (
     Channel,
     Scenario,
     SimulationError,
+    _occurs_any,
     format_transcript,
     host_compromise_probe,
     load_scenario,
@@ -39,6 +41,25 @@ def test_passive_adversary_sees_nothing_useful(ca_env):
     assert not outcome.attacker_learned_plaintext
     assert outcome.failure_reason is None
     assert len(adversary.captured) == len(outcome.transcript)
+
+
+@pytest.mark.parametrize("case", ["certificate_slice", "frame_boundary"])
+def test_passive_adversary_learns_plaintext_it_captured(ca_env, case):
+    # the predicate is "the bytes occur in the stored state": a plaintext
+    # that the certificate frames already carry is learned, also when it
+    # straddles two captured frames
+    registry, alice, bob = ca_env
+    cert_a, cert_b = (WireMessage(MSG_CERT, p.certificate.encode()).encode() for p in (alice, bob))
+    plaintext = cert_a[40:60] if case == "certificate_slice" else cert_a[-10:] + cert_b[:10]
+    adversary = AdversaryPolicy(AdversaryMode.PASSIVE)
+    outcome = run_session(
+        alice, bob, adversary, ca_public_key=registry.public_key, seed=5, session_id=1,
+        plaintexts=(("a->b", plaintext), ("b->a", b"confirmed, bring the documents")),
+    )
+    assert adversary.captured[:2] == [("a->b", cert_a), ("b->a", cert_b)]
+    assert outcome.established
+    assert outcome.attacker_learned_plaintext
+    assert not outcome.attacker_learned_key
 
 
 def test_passive_equals_adversary_free_transcript(ca_env):
@@ -171,6 +192,52 @@ def test_host_compromise_probe_validation(ca_env):
         host_compromise_probe([], 0)
     with pytest.raises(SimulationError):
         host_compromise_probe([record, record], 5)
+
+
+_TWO_LETTERS = bytes(b"ab"[c & 1] for c in range(256))
+
+
+@st.composite
+def _haystack_and_needles(draw):
+    # all 256 byte values, or two letters (translate(None) keeps the bytes)
+    table = draw(st.sampled_from([None, _TWO_LETTERS]))
+    size = draw(st.integers(0, 64))
+    haystack = draw(st.binary(min_size=size, max_size=size)).translate(table)
+    needles = [n.translate(table) for n in draw(st.lists(st.binary(max_size=40), max_size=3))]
+    # one to three slices of the haystack at every start offset mod 8, many
+    # of them near the 15-byte filter threshold, so that needles that occur
+    # only unaligned are common
+    starts = st.tuples(st.integers(0, 3), st.integers(0, 7)).map(lambda kr: 8 * kr[0] + kr[1])
+    sizes = st.one_of(st.integers(13, 17), st.integers(0, 40))
+    for start, length in draw(st.lists(st.tuples(starts, sizes), min_size=1, max_size=3)):
+        needles.append(haystack[start:start + length])
+    return haystack, draw(st.permutations(needles))
+
+
+@given(_haystack_and_needles())
+@settings(max_examples=1000, deadline=None)
+def test_occurs_any_is_any_substring(case):
+    haystack, needles = case
+    assert _occurs_any(needles, haystack) == any(n in haystack for n in needles)
+
+
+def test_occurs_any_edge_cases():
+    assert not _occurs_any([], b"")
+    assert not _occurs_any([], b"0123456789abcdef")
+    assert _occurs_any([b""], b"")
+    assert _occurs_any([b"x" * 20, b""], b"")
+    assert _occurs_any([b"bcd"], b"abcde")
+    assert not _occurs_any([b"abcdefghijklmnop"], b"abcdefg")
+
+
+@pytest.mark.parametrize("offset", range(8))
+@pytest.mark.parametrize("size", [14, 15, 16])
+def test_occurs_any_finds_every_alignment(offset, size):
+    haystack = np.random.default_rng(size * 8 + offset).bytes(48)
+    needle = haystack[offset:offset + size]
+    near_miss = needle[:-1] + bytes([needle[-1] ^ 1])
+    assert _occurs_any([b"not in there at all", needle], haystack)
+    assert _occurs_any([near_miss], haystack) == (near_miss in haystack)
 
 
 def test_channel_requires_queued_message():
