@@ -488,13 +488,15 @@ def run_scenario(scenario: Scenario) -> ScenarioRecord:
         ]
 
     failure = next((o.failure_reason for o in outcomes if o.failure_reason is not None), None)
+    # one snapshot, after any stolen key, answers both "attacker learned" rows
+    blob = adversary.state_blob()
     return ScenarioRecord([
         ("scenario", scenario.mode.value),
         ("established", _bool(all(o.established for o in outcomes))),
         *mode_rows,
-        ("attacker_learned_key", _bool(any(adversary.knows(r.key) for r in records))),
+        ("attacker_learned_key", _bool(any(r.key in blob for r in records))),
         ("attacker_learned_plaintext", _bool(
-            any(adversary.knows(p) for _, p in scenario.messages)
+            _occurs_any([p for _, p in scenario.messages], blob)
         )),
         ("failure_reason", "none" if failure is None else failure.label),
     ])

@@ -6,12 +6,22 @@ i = 1..N in order. The composition is a bijection on N-bit strings, so a
 leaked template is revoked by switching to a fresh key. The result is a
 :class:`RevocableTemplate`, a feature bit string of the same length that
 serializes the same way. Keys live only in memory: a session draws a fresh
-one and stores none. The stream is a hash counter: index i is
+one and stores none.
+
+``permute`` takes one of two routes to the same bits. A key's first use
+moves only the template's set bits through the swaps that touch them
+(``_track``), so a one-time session key builds no arrangement and nothing
+that holds its token is cached. From a key's second use on, ``permute``
+gathers through the full arrangement (``_arrangement``, an LRU cache that
+``invert`` shares). Telling the two apart needs only ``hash((token, N))``
+of the keys seen, kept in a bounded set.
+
+The stream is a hash counter: index i is
 SHA-256(token || i as 8 big-endian bytes) reduced mod N, which keeps the
 permutation bit-exact across implementations and unbiased whenever N
 divides 2**256 (true for all power-of-two N). For power-of-two N the
 reduction mod N is exactly the low log2(N) bits of the digest, so the
-arrangement takes them from each digest's last big-endian 32-bit word
+swap targets are taken from each digest's last big-endian 32-bit word
 instead of reducing the 256-bit integer.
 
 SHA-256(token || BE64(i)) for i = 1..N is, byte for byte, the ANSI X9.63
@@ -52,6 +62,10 @@ __all__ = [
 DEFAULT_TOKEN_LEN = 16
 # OpenSSL's output cap for one X9.63 KDF call, in bytes
 _KDF_MAX_BYTES = 1 << 30
+# hash((token, n)) of the keys permute has used, never the tokens; emptied
+# when full, which at worst sends a returning key down the tracking route
+_SEEN_KEYS_MAX = 1 << 12
+_seen_keys: set[int] = set()
 
 
 class TransformError(ValueError):
@@ -115,22 +129,25 @@ def index_stream(key: TransformationKey, n: int, count: int) -> list[int]:
     return [1 + int.from_bytes(digests[k:k + 32], "big") % n for k in range(0, 32 * count, 32)]
 
 
-@functools.lru_cache(maxsize=8)
-def _arrangement(token: bytes, n: int) -> np.ndarray:
-    """Read-only arrangement for ``index_stream`` over [1, n] with n values.
+def _swap_targets(token: bytes, n: int) -> np.ndarray:
+    """0-based swap target j_t of every walk step t = 0..n-1: ``index_stream``
+    over [1, n] with n values, minus one.
 
     n must be a power of two, so that the digest's low bits are its value
     mod n, and at most 2**31, so that every index fits int32.
     """
     if n < 1 or n & (n - 1) or n > 1 << 31:
         raise TransformError(f"arrangement size {n} is not a power of two up to 2**31")
-    # masking copies the last words, so the digest buffer can go before the
-    # walk; iterating a memoryview makes each index an int only while in use
-    digests = _digests(token, n)
-    low = np.frombuffer(digests, dtype=">u4")[7::8] & (n - 1)
-    del digests
-    # the swap walk of index_stream's 1-based values, with both positions 0-based:
-    # entry p is the source index whose bit ends up at position p
+    # masking copies the last words, so the digest buffer goes on return
+    return np.frombuffer(_digests(token, n), dtype=">u4")[7::8] & (n - 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _arrangement(token: bytes, n: int) -> np.ndarray:
+    """Read-only arrangement of the swap walk over ``_swap_targets``: entry p
+    is the source index whose bit ends up at position p."""
+    low = _swap_targets(token, n)
+    # iterating a memoryview makes each index an int only while in use
     arr = list(range(n))
     for i, j in enumerate(memoryview(low)):
         arr[i], arr[j] = arr[j], arr[i]
@@ -139,10 +156,50 @@ def _arrangement(token: bytes, n: int) -> np.ndarray:
     return out
 
 
+def _track(bits: np.ndarray, token: bytes) -> np.ndarray:
+    """``bits[_arrangement(token, len(bits))]``, found by moving only the set
+    bits through the swap walk.
+
+    A bit at position x, with steps 0..s-1 applied, next moves at the first
+    step t >= s that touches x: its own step t = x, which sends it to j_x, or
+    a step with j_t = x, which sends it to t. The keys j_t * n + t, sorted
+    once, give the latter with one ``searchsorted`` for all bits per round; a
+    bit with no step left has reached its final position.
+    """
+    n = len(bits)
+    j = _swap_targets(token, n).astype(np.int64)
+    # keys are unique, one per step; the sentinel n * n ends every search
+    keys = np.append(np.sort(j * n + np.arange(n)), n * n)
+    out = np.zeros(n, dtype=np.uint8)
+    x = np.flatnonzero(bits)
+    s = np.zeros_like(x)
+    while x.size:
+        base = x * n
+        t = keys[np.searchsorted(keys, base + s)] - base
+        t = np.where(x >= s, np.minimum(t, x), t)
+        done = t >= n
+        out[x[done]] = 1
+        live = ~done
+        x, t = x[live], t[live]
+        x, s = np.where(t == x, j[t], t), t + 1
+    return out
+
+
 def permute(fbs: FeatureBitString, key: TransformationKey) -> RevocableTemplate:
-    """Apply the keyed swap permutation; preserves length and popcount."""
-    arr = _arrangement(key.token, len(fbs))
-    return RevocableTemplate(fbs.bits[arr], fbs.n_p)
+    """Apply the keyed swap permutation; preserves length and popcount.
+
+    A key's first use tracks the set bits (``_track``); a key seen before is
+    likely to come back, so it gathers through the cached arrangement.
+    """
+    n = len(fbs)
+    tag = hash((key.token, n))
+    if tag in _seen_keys:
+        return RevocableTemplate(fbs.bits[_arrangement(key.token, n)], fbs.n_p)
+    bits = _track(fbs.bits, key.token)
+    if len(_seen_keys) >= _SEEN_KEYS_MAX:
+        _seen_keys.clear()
+    _seen_keys.add(tag)
+    return RevocableTemplate(bits, fbs.n_p)
 
 
 def invert(template: RevocableTemplate, key: TransformationKey) -> FeatureBitString:

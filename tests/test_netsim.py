@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from biokex import netsim
 from biokex.ca import CaRegistry, Identity, RsaKeyPair
 from biokex.minutiae import Minutia, MinutiaeSet
 from biokex.netsim import (
@@ -360,6 +361,42 @@ def test_scenario_record_lines_pinned(mode):
     # whole records in order: every mode shares one schema, and mode rows
     # sit between "established" and the attacker/failure rows
     assert run_scenario(Scenario(mode, seed=1)).to_lines() == SCENARIO_LINES_SEED_1[mode]
+
+
+@pytest.mark.parametrize("mode, planted, learned_key, learned_plaintext", [
+    (AdversaryMode.HOST_COMPROMISE, b"", "true", "false"),
+    (AdversaryMode.PASSIVE, b"alice", "false", "true"),
+], ids=["host-compromise", "passive-planted"])
+def test_long_scenario_record_matches_knows(
+    monkeypatch, mode, planted, learned_key, learned_plaintext
+):
+    # about 300 messages; the rows must equal one knows() call per session
+    # key and per message against the adversary's final state
+    sessions = []
+    real_run_session = netsim.run_session
+
+    def recording(a, b, adversary, **kwargs):
+        outcome = real_run_session(a, b, adversary, **kwargs)
+        sessions.append((adversary, outcome))
+        return outcome
+
+    monkeypatch.setattr(netsim, "run_session", recording)
+    messages = tuple(
+        ("a->b" if i % 2 == 0 else "b->a", f"message {i:03d};".encode() * (1 + i % 37))
+        for i in range(300)
+    ) + ((("a->b", planted),) if planted else ())
+    record = run_scenario(Scenario(mode, messages=messages, seed=3))
+
+    adversary = sessions[0][0]
+    assert all(adv is adversary for adv, _ in sessions)
+    keys = [o.record.key for _, o in sessions if o.record is not None]
+    naive_key = any(adversary.knows(k) for k in keys)
+    naive_plaintext = any(adversary.knows(p) for _, p in messages)
+    assert record.get("attacker_learned_key") == ("true" if naive_key else "false")
+    assert record.get("attacker_learned_plaintext") == ("true" if naive_plaintext else "false")
+    assert (record.get("attacker_learned_key"), record.get("attacker_learned_plaintext")) == (
+        learned_key, learned_plaintext
+    )
 
 
 def test_scenario_record_determinism():

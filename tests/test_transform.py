@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import biokex.transform as transform_module
-from biokex import _openssl
+from biokex import _openssl, netsim
 from biokex.features import FeatureBitString, QuantizationConfig, extract_features
 from biokex.keyagree import modexp
 from biokex.minutiae import synthesize_subject
@@ -16,6 +16,7 @@ from biokex.transform import (
     TransformError,
     _arrangement,
     _digests,
+    _track,
     index_stream,
     invert,
     permute,
@@ -379,3 +380,87 @@ def test_template_serialization_matches_feature_form(rng):
     blob = template.serialize()
     assert blob[:4] == (1 << 12).to_bytes(4, "big")
     assert FeatureBitString.deserialize(blob).bits.tolist() == template.bits.tolist()
+
+
+def _assert_track_matches_gather(k):
+    # bit strings from empty through sparse and dense to all ones, under
+    # tokens of 1, 16 and 57 bytes in turn
+    n = 1 << k
+    rng = np.random.default_rng(k)
+    single = np.zeros(n, dtype=np.uint8)
+    single[rng.integers(n)] = 1
+    strings = [np.zeros(n, dtype=np.uint8), single, np.ones(n, dtype=np.uint8)]
+    strings += [(rng.random(n) < d).astype(np.uint8) for d in (0.01, 0.03, 0.3, 0.5)]
+    tokens = [rng.bytes(token_len) for token_len in (1, 16, 57)]
+    for i, bits in enumerate(strings):
+        token = tokens[i % len(tokens)]
+        out = _track(bits, token)
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, bits[_arrangement(token, n)])
+
+
+@pytest.mark.parametrize("k", range(16))
+def test_track_matches_gather(k):
+    _assert_track_matches_gather(k)
+
+
+@pytest.mark.parametrize("k", range(16))
+def test_track_matches_gather_on_fallback(hashlib_fallback, k):
+    _assert_track_matches_gather(k)
+
+
+def test_track_rejects_non_power_of_two():
+    with pytest.raises(TransformError):
+        _track(np.ones(12, dtype=np.uint8), TOKEN)
+
+
+def test_first_permute_tracks_and_second_gathers(rng):
+    fbs = _random_fbs(rng, n_p=15, density=0.02)
+    key = TransformationKey(rng.bytes(16))
+    _arrangement.cache_clear()
+    first = permute(fbs, key)
+    assert _arrangement.cache_info().currsize == 0
+    second = permute(fbs, key)
+    assert _arrangement.cache_info().currsize == 1
+    assert first == second
+    assert invert(first, key) == fbs
+    _arrangement.cache_clear()
+
+
+def test_session_keys_leave_no_arrangement(ca_env):
+    # a session's two fresh keys are tracked: nothing that holds a token
+    # outlives the session, and a key used twice is cached as before
+    registry, alice, bob = ca_env
+    _arrangement.cache_clear()
+    transform_module._seen_keys.clear()
+    outcome = netsim.run_session(
+        alice, bob, None, ca_public_key=registry.public_key, seed=31, session_id=7
+    )
+    assert outcome.established
+    assert _arrangement.cache_info().currsize == 0
+    assert len(transform_module._seen_keys) == 2
+    assert all(isinstance(h, int) for h in transform_module._seen_keys)
+
+    fbs = FeatureBitString(np.eye(1, 1 << 12, 5, dtype=np.uint8)[0], 12)
+    key = TransformationKey(b"used twice")
+    permute(fbs, key)
+    assert _arrangement.cache_info().currsize == 0
+    permute(fbs, key)
+    assert _arrangement.cache_info().currsize == 1
+    _arrangement.cache_clear()
+
+
+def test_seen_keys_record_is_bounded(monkeypatch):
+    # a full record is emptied; a key forgotten that way is tracked again
+    monkeypatch.setattr(transform_module, "_SEEN_KEYS_MAX", 2)
+    monkeypatch.setattr(transform_module, "_seen_keys", set())
+    fbs = FeatureBitString(np.eye(1, 1 << 10, 9, dtype=np.uint8)[0], 10)
+    keys = [TransformationKey(bytes([i])) for i in range(3)]
+    expected = [permute(fbs, key) for key in keys]
+    assert len(transform_module._seen_keys) == 1
+    _arrangement.cache_clear()
+    assert permute(fbs, keys[2]) == expected[2]
+    assert _arrangement.cache_info().currsize == 1
+    assert permute(fbs, keys[0]) == expected[0]
+    assert _arrangement.cache_info().currsize == 1
+    _arrangement.cache_clear()
