@@ -1,24 +1,20 @@
 """Toy certificate authority: enrollment, issuance, verification.
 
-A certificate binds a user id to an RSA-2048 public key: the CA signs the
-SHA-256 digest of (public key DER || id bytes) with deterministic PKCS#1
-v1.5 padding, so issued certificates are byte-reproducible. An enrollment
-carries nothing a certificate does not already carry in clear, an identity
-and a public key, so it is submitted to the registry as is.
+A certificate binds a user id to an Ed25519 public key (RFC 8032): the CA
+signs the SHA-256 digest of (public key DER || id bytes) with Ed25519.
+Ed25519 signatures are deterministic, so issued certificates are
+byte-reproducible. An enrollment carries nothing a certificate does not
+already carry in clear, an identity and a public key, so it is submitted to
+the registry as is.
 
-Key pairs can be generated deterministically from a seed: primes come from
-a SHA-256 counter stream checked by trial division and 40 Miller-Rabin
-rounds, and the resulting numbers are handed to ``cryptography`` for the
-actual RSA operations. Signing and verification therefore use the library
-code path; prime sampling is local, which is what makes seeded CA setup
-reproducible. Miller-Rabin's witness exponentiation is
-:func:`biokex.keyagree.modexp`, the package's one modular exponentiation;
-its OpenSSL and ``pow`` paths give the same numbers, so a seed gives the
-same key either way.
+An Ed25519 private key is any 32 bytes, so a seeded key pair needs no
+local key search: its private key is SHA-256 over a domain tag and the
+integer seed, and ``cryptography`` does the rest. Keys of any other type
+are refused with a :class:`CaError`.
 
 A registry lives in memory or in a CA directory that only ``CaRegistry``
-reads and writes: ``ca_key.pem``, ``ca_pub.der``, the audit file
-``registry.txt`` and one ``<id>.cert`` per enrollment.
+reads and writes: ``ca_key.pem`` (PKCS#8), ``ca_pub.der`` (SPKI), the
+audit file ``registry.txt`` and one ``<id>.cert`` per enrollment.
 
 ``verify_certificate`` is pure and freely concurrent; ``CaRegistry.enroll``
 mutates the registry and follows a single-writer contract.
@@ -27,18 +23,15 @@ mutates the registry and follows a single-writer contract.
 from __future__ import annotations
 
 import hashlib
-import math
 import secrets
 import struct
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import padding, rsa
-
-from .keyagree import modexp
+from cryptography.exceptions import InvalidSignature, UnsupportedAlgorithm
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import ed25519
 
 __all__ = [
     "Identity",
@@ -53,10 +46,6 @@ __all__ = [
     "verify_certificate",
     "certificate_digest",
 ]
-
-RSA_BITS = 2048
-RSA_E = 65537
-_MR_ROUNDS = 40
 
 # the files of a CA directory
 _CA_KEY, _CA_PUB, _AUDIT = "ca_key.pem", "ca_pub.der", "registry.txt"
@@ -98,104 +87,28 @@ class Identity:
         return self.user_id.encode("utf-8")
 
 
-# --- deterministic prime sampling -----------------------------------------
-
-_SMALL_PRIMES = [p for p in range(2, 2000) if all(p % d for d in range(2, int(math.isqrt(p)) + 1))]
-_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
-
-
-class _HashStream:
-    """Counter-mode SHA-256 byte stream; deterministic for a fixed seed."""
-
-    def __init__(self, seed: bytes):
-        self._seed = seed
-        self._counter = 0
-
-    def take(self, n: int) -> bytes:
-        out = bytearray()
-        while len(out) < n:
-            block = hashlib.sha256(self._seed + self._counter.to_bytes(8, "big")).digest()
-            self._counter += 1
-            out.extend(block)
-        return bytes(out[:n])
-
-    def take_int(self, bits: int) -> int:
-        return int.from_bytes(self.take((bits + 7) // 8), "big") % (1 << bits)
-
-
-def _is_probable_prime(n: int, stream: _HashStream) -> bool:
-    # Below 2 Miller-Rabin's set-up would halve d = n - 1 forever at n = 1.
-    if n < 2:
-        return False
-    # One gcd stands in for trial division by each small prime in turn: that
-    # loop returns n == p for the first p dividing n, which holds exactly
-    # when n is itself one of the small primes.
-    if math.gcd(n, _SMALL_PRIMORIAL) != 1:
-        return n in _SMALL_PRIMES
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for _ in range(_MR_ROUNDS):
-        a = 2 + stream.take_int(n.bit_length() + 16) % (n - 3)
-        x = modexp(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = pow(x, 2, n)
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _gen_prime(stream: _HashStream, bits: int) -> int:
-    while True:
-        candidate = stream.take_int(bits)
-        candidate |= (1 << (bits - 1)) | (1 << (bits - 2)) | 1
-        if math.gcd(RSA_E, candidate - 1) != 1:
-            continue
-        if _is_probable_prime(candidate, stream):
-            return candidate
+# domain tag that a seeded private key's SHA-256 input starts with
+_SEED_TAG = b"ed25519-keygen"
 
 
 class RsaKeyPair:
-    """RSA-2048 pair; seeded construction is fully deterministic."""
+    """Ed25519 signing pair (RFC 8032). The name predates the move from
+    RSA-2048. A seeded pair is fully deterministic: its private key is
+    SHA-256 over a domain tag and the seed's 16 big-endian bytes."""
 
-    def __init__(self, private_key: rsa.RSAPrivateKey):
+    def __init__(self, private_key: ed25519.Ed25519PrivateKey):
         self.private_key = private_key
         self.public_key = private_key.public_key()
 
     @classmethod
     def generate(cls, seed: int | None = None) -> "RsaKeyPair":
-        seed_bytes = (
-            secrets.token_bytes(32)
-            if seed is None
-            else b"rsa-keygen" + seed.to_bytes(16, "big", signed=False)
-        )
-        stream = _HashStream(seed_bytes)
-        half = RSA_BITS // 2
-        p = _gen_prime(stream, half)
-        q = _gen_prime(stream, half)
-        while q == p:
-            q = _gen_prime(stream, half)
-        if p < q:
-            p, q = q, p
-        n = p * q
-        lam = math.lcm(p - 1, q - 1)
-        d = pow(RSA_E, -1, lam)
-        numbers = rsa.RSAPrivateNumbers(
-            p=p,
-            q=q,
-            d=d,
-            dmp1=d % (p - 1),
-            dmq1=d % (q - 1),
-            iqmp=pow(q, -1, p),
-            public_numbers=rsa.RSAPublicNumbers(e=RSA_E, n=n),
-        )
-        return cls(numbers.private_key())
+        if seed is None:
+            private_bytes = secrets.token_bytes(32)
+        elif 0 <= seed < 1 << 128:
+            private_bytes = hashlib.sha256(_SEED_TAG + seed.to_bytes(16, "big")).digest()
+        else:
+            raise CaError(f"key seed must be in [0, 2**128), got {seed}")
+        return cls(ed25519.Ed25519PrivateKey.from_private_bytes(private_bytes))
 
     @property
     def public_der(self) -> bytes:
@@ -213,13 +126,13 @@ class RsaKeyPair:
         )
 
 
-def _load_public_der(der: bytes) -> rsa.RSAPublicKey:
+def _load_public_der(der: bytes) -> ed25519.Ed25519PublicKey:
     try:
         key = serialization.load_der_public_key(der)
     except Exception as exc:
         raise CaError(f"malformed public key encoding: {exc}") from None
-    if not isinstance(key, rsa.RSAPublicKey):
-        raise CaError("public key is not RSA")
+    if not isinstance(key, ed25519.Ed25519PublicKey):
+        raise CaError("public key is not Ed25519")
     return key
 
 
@@ -229,7 +142,7 @@ def certificate_digest(user_public_der: bytes, identity: Identity) -> bytes:
 
 @dataclass(frozen=True)
 class Certificate:
-    """CA-signed binding of an identity to an RSA public key."""
+    """CA-signed binding of an identity to an Ed25519 public key."""
 
     identity: Identity
     user_public_der: bytes
@@ -328,15 +241,18 @@ class CaRegistry:
 
     @classmethod
     def open(cls, directory: str | Path) -> "CaRegistry":
-        """Load the CA key of ``directory`` and the ids its audit file lists
-        (none when the file is missing)."""
+        """Load the CA key of ``directory``, which must be Ed25519, and the
+        ids its audit file lists (none when the file is missing)."""
         directory = Path(directory)
         key_path = directory / _CA_KEY
         if not key_path.exists():
             raise CaError(f"no CA key at {key_path}; run ca-init first")
-        key = serialization.load_pem_private_key(key_path.read_bytes(), password=None)
-        if not isinstance(key, rsa.RSAPrivateKey):
-            raise CaError(f"{key_path}: not an RSA private key")
+        try:
+            key = serialization.load_pem_private_key(key_path.read_bytes(), password=None)
+        except (ValueError, TypeError, UnsupportedAlgorithm) as exc:
+            raise CaError(f"{key_path}: unreadable CA key ({exc})") from None
+        if not isinstance(key, ed25519.Ed25519PrivateKey):
+            raise CaError(f"{key_path}: not an Ed25519 private key")
         registry = cls(RsaKeyPair(key))
         registry.directory = directory
         audit = directory / _AUDIT
@@ -345,7 +261,7 @@ class CaRegistry:
         return registry
 
     @property
-    def public_key(self) -> rsa.RSAPublicKey:
+    def public_key(self) -> ed25519.Ed25519PublicKey:
         return self.ca_keypair.public_key
 
     def check_enrollable(self, identity: Identity) -> None:
@@ -368,9 +284,7 @@ class CaRegistry:
         timestamp = int(time.time()) if now is None else int(now)
 
         digest = certificate_digest(user_public_der, identity)
-        signature = self.ca_keypair.private_key.sign(
-            digest, padding.PKCS1v15(), hashes.SHA256()
-        )
+        signature = self.ca_keypair.private_key.sign(digest)
         cert = Certificate(identity, user_public_der, digest, signature)
 
         if self.directory is not None:
@@ -385,19 +299,22 @@ class CaRegistry:
         (self.directory / f"{user_id}.cert").write_bytes(cert.encode())
 
 
-def verify_certificate(ca_public_key: rsa.RSAPublicKey, cert: Certificate) -> Identity:
+def verify_certificate(ca_public_key: ed25519.Ed25519PublicKey, cert: Certificate) -> Identity:
     """Recompute the digest, check it, check the CA signature; return the identity.
 
     The three failure modes are distinct errors: malformed encoding (raised
-    at decode time), digest mismatch, invalid signature.
+    at decode time), digest mismatch, invalid signature. A CA key that is
+    not Ed25519 is a plain :class:`CaError`.
     """
+    if not isinstance(ca_public_key, ed25519.Ed25519PublicKey):
+        raise CaError("CA public key is not Ed25519")
     expected = certificate_digest(cert.user_public_der, cert.identity)
     if expected != cert.digest:
         raise DigestMismatchError(
             f"certificate digest mismatch for {cert.identity.user_id!r}"
         )
     try:
-        ca_public_key.verify(cert.signature, cert.digest, padding.PKCS1v15(), hashes.SHA256())
+        ca_public_key.verify(cert.signature, cert.digest)
     except InvalidSignature:
         raise SignatureInvalidError(
             f"certificate signature invalid for {cert.identity.user_id!r}"

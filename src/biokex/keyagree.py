@@ -7,8 +7,8 @@ fixed-width 256-byte big-endian encoding, into the 32-byte session key.
 Fixed-width encoding matters: without it, implementations disagree on
 leading zero bytes and derive different keys from equal intermediates.
 
-Every modular exponentiation in the package, Diffie-Hellman here and the
-CA's Miller-Rabin witnesses, goes through :func:`modexp`. It runs in the
+Every modular exponentiation in the package is Diffie-Hellman's and goes
+through :func:`modexp`. It runs in the
 OpenSSL that ``hashlib`` links (``BN_mod_exp_mont_consttime``) for any odd
 modulus, the toy test group included, and in Python ``pow`` for an even
 modulus or where that library cannot be bound. Both compute the same
@@ -170,8 +170,7 @@ def modexp(base: int, exponent: int, modulus: int) -> int:
 
     Runs in OpenSSL for an odd modulus. Each call owns its ``BN_CTX`` and
     ``BIGNUM``s and clears them before freeing, since the exponent is a
-    private key and the CA's moduli are secret prime candidates; nothing is
-    shared between threads. Montgomery multiplication needs an odd modulus,
+    private key; nothing is shared between threads. Montgomery multiplication needs an odd modulus,
     so an even one, like every call when OpenSSL cannot be bound, uses
     ``pow``.
     """

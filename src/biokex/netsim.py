@@ -234,13 +234,13 @@ def make_environment(seed: int, directory: str | Path | None = None) -> CaRegist
 def make_enrolled_party(
     registry: CaRegistry, user_id: str, seed: int, *, now: int | None = 0
 ) -> PartyConfig:
-    """Synthesize a subject, generate an RSA pair, and enroll with the CA."""
+    """Synthesize a subject, generate an Ed25519 pair, and enroll with the CA."""
     uid_tag = int.from_bytes(hashlib.sha256(user_id.encode("utf-8")).digest()[:4], "big")
     ss = np.random.SeedSequence([seed, uid_tag])
-    rsa_seed, fp_seed = (int(v) for v in ss.generate_state(2, np.uint64))
+    key_seed, fp_seed = (int(v) for v in ss.generate_state(2, np.uint64))
     identity = Identity(user_id)
     registry.check_enrollable(identity)
-    keypair = RsaKeyPair.generate(rsa_seed)
+    keypair = RsaKeyPair.generate(key_seed)
     certificate = registry.enroll(identity, keypair.public_der, now=now)
     fingerprint = synthesize_subject(
         _PARTY_MINUTIAE, SENSOR_WIDTH, SENSOR_HEIGHT, fp_seed, subject_id=user_id

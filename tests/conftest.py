@@ -59,8 +59,8 @@ def fail_modexp(monkeypatch):
 
 @pytest.fixture(scope="session")
 def ca_env():
-    """Shared CA with two enrolled parties; RSA generation is the slow part,
-    so build it once. Treated as read-only by tests."""
+    """Shared CA with two enrolled parties, built once per test session.
+    Treated as read-only by tests."""
     registry = netsim.make_environment(4242)
     alice = netsim.make_enrolled_party(registry, "alice", 1001)
     bob = netsim.make_enrolled_party(registry, "bob", 1002)

@@ -1,11 +1,9 @@
 import hashlib
-import math
-import random
 
 import pytest
 from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import ec
 
-from biokex import ca as ca_module
 from biokex.ca import (
     CaError,
     CaRegistry,
@@ -43,9 +41,76 @@ def test_seeded_generation_is_deterministic():
     assert a.public_der != RsaKeyPair.generate(998).public_der
 
 
-def test_generated_modulus_is_2048_bits():
-    key = RsaKeyPair.generate(7)
-    assert key.public_key.key_size == 2048
+def test_seeded_private_key_is_tagged_seed_digest():
+    raw = RsaKeyPair.generate(7).private_key.private_bytes(
+        serialization.Encoding.Raw, serialization.PrivateFormat.Raw, serialization.NoEncryption()
+    )
+    assert raw == hashlib.sha256(b"ed25519-keygen" + (7).to_bytes(16, "big")).digest()
+
+
+@pytest.mark.parametrize("seed", [0, 2**128 - 1])
+def test_seed_range_ends_are_accepted(seed):
+    assert len(RsaKeyPair.generate(seed).public_der) == 44
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, 1 << 130])
+def test_seed_outside_range_is_ca_error(seed):
+    with pytest.raises(CaError, match=r"seed must be in \[0, 2\*\*128\)"):
+        RsaKeyPair.generate(seed)
+
+
+def test_unseeded_keys_differ():
+    assert RsaKeyPair.generate().public_der != RsaKeyPair.generate().public_der
+
+
+def test_issuing_twice_gives_identical_bytes(ca, user_keys):
+    first, second = (
+        CaRegistry(ca.ca_keypair).enroll(Identity("carol"), user_keys.public_der, now=5)
+        for _ in range(2)
+    )
+    assert first.encode() == second.encode()
+
+
+@pytest.fixture(scope="module")
+def p256_key():
+    """A key of a type the CA refuses; EC keygen is fast, unlike RSA's."""
+    return ec.generate_private_key(ec.SECP256R1())
+
+
+def _pkcs8_pem(private_key, encryption=serialization.NoEncryption()) -> bytes:
+    return private_key.private_bytes(
+        serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8, encryption
+    )
+
+
+@pytest.mark.parametrize(
+    "pem, message",
+    [
+        (_pkcs8_pem(ec.generate_private_key(ec.SECP256R1())), "not an Ed25519 private key"),
+        (b"not a PEM file", "unreadable CA key"),
+        (_pkcs8_pem(RsaKeyPair.generate(3).private_key,
+                    serialization.BestAvailableEncryption(b"passphrase")), "unreadable CA key"),
+    ],
+    ids=["p256", "garbage", "encrypted"],
+)
+def test_open_refuses_unusable_ca_key(tmp_path, pem, message):
+    (tmp_path / "ca_key.pem").write_bytes(pem)
+    with pytest.raises(CaError, match=f"ca_key.pem: {message}"):
+        CaRegistry.open(tmp_path)
+
+
+def test_enroll_refuses_public_key_that_is_not_ed25519(ca, p256_key):
+    der = p256_key.public_key().public_bytes(
+        serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo
+    )
+    with pytest.raises(CaError, match="^public key is not Ed25519$"):
+        ca.enroll(Identity("erin"), der)
+    assert "erin" not in ca.enrolled
+
+
+def test_verify_refuses_ca_key_that_is_not_ed25519(issued, p256_key):
+    with pytest.raises(CaError, match="CA public key is not Ed25519"):
+        verify_certificate(p256_key.public_key(), issued)
 
 
 def test_enroll_then_verify_roundtrip(ca, issued):
@@ -185,27 +250,27 @@ def test_digest_definition(issued, user_keys):
 
 
 # SHA-256 of (public SubjectPublicKeyInfo DER, private PKCS#8 DER), pinned
-# before Miller-Rabin's witness exponentiation moved to OpenSSL.
+# when seeded keys became Ed25519
 FROZEN_KEYGEN = {
     0: (
-        "0addb8be69a9d1066ce338561e58b39ab84fb6bd5f2257cb8d7ad30949c4b07c",
-        "e45cf04fcd472093a7e527c6a9a06fab2f1cf99e005910b4882bd7054e49bed2",
+        "0860225a5eb2acfc1e039eaf7347a63c0225278c8b03d273a246887d946a25db",
+        "cf7705af5a4aff5d2ebec5143be54b8eb9118b6e9ca280c9f6f100c99cd9ee73",
     ),
     1: (
-        "bb5fd789de04ab054a8548feaecc47a53571c5056476b921a182d205a97183b3",
-        "a8b5f16492ae0c6dff1b0e60a00c16977ee18175de0a1458fd8e133241a069ef",
+        "062d6d53824fe8f888d2fe8dad98dc3ab82299dbaa5ddfad4a1ffad5296f0f5a",
+        "893ff7bd36d845822b7dfedf4f0607e82ddbed15f1727332e72d864ed5838cf6",
     ),
     7: (
-        "464072fad06a1373395854f62163cc86443a9f48e7dc1809e67546002333f6b7",
-        "044ae808844d5a562d4caa22487e110080c227e5929cea137341afffcd307b36",
+        "4aa37ecd6ae8221ccb3c2c9226957ffab52c52990c86f573837a1842dbb877e6",
+        "81f812ed806c7fa98110cff2facc22f3ddd16276888eb4f9a5a65831e52d53eb",
     ),
     111: (
-        "687be9462c6652568977331d59aa049a0f4ebdf367aeb989ed8e70a08aa05399",
-        "54cba3afb8b02d40eea7e83ad02d6ef9ff7903c0bd75801daab66724ac0654c3",
+        "f566c9f2ccf12c0b6bc877eae006690fc3291f601e2fdb454ce57e947d27bf20",
+        "de598163b3f9de0f942b6a86e45ab9d49e25beb9e2c93a8927c4db1069ba04f5",
     ),
     999: (
-        "b8af46ce7601fff5f81e3a9cbf6d521a3fa200e9313dad4543a7b6680d53a031",
-        "f25eaeaa800dc61b0e65983d28461f94b3d50d5dc343f835fa557c9468dc607c",
+        "3647c0981fbfccf89ecda8185e38d21d83495f14fad0b9f8ec899b85abdd1f40",
+        "c42162d185f540743748fe8cfeccac8051317a81a7ecdc3b572797b1c1b070f9",
     ),
 }
 
@@ -225,65 +290,6 @@ def test_seeded_keygen_frozen_reference(seed):
     assert keygen_digests(seed) == FROZEN_KEYGEN[seed]
 
 
+# the seed digest must not depend on which SHA-256 ``hashlib`` links
 def test_seeded_keygen_frozen_reference_without_openssl(without_openssl):
     assert {seed: keygen_digests(seed) for seed in FROZEN_KEYGEN} == FROZEN_KEYGEN
-
-
-def _is_probable_prime_by_loop(n, stream, rounds=40):
-    """``_is_probable_prime`` with trial division by each small prime in turn
-    and Python ``pow`` throughout; the reference the gcd form must equal."""
-    for p in ca_module._SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for _ in range(rounds):
-        a = 2 + stream.take_int(n.bit_length() + 16) % (n - 3)
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = pow(x, 2, n)
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def test_is_probable_prime_matches_sieve():
-    limit = 2000
-    sieve = [True] * limit
-    sieve[0] = sieve[1] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = [False] * len(range(p * p, limit, p))
-    for n in range(2, limit):
-        assert ca_module._is_probable_prime(n, ca_module._HashStream(b"mr")) is sieve[n], n
-
-
-@pytest.mark.parametrize("n", [-1, 0, 1])
-def test_is_probable_prime_below_two(n):
-    stream = ca_module._HashStream(b"mr")
-    assert ca_module._is_probable_prime(n, stream) is False
-    assert stream._counter == 0
-
-
-def test_trial_division_by_gcd_matches_loop():
-    rng = random.Random(1024)
-    # n = 1 is left out: the loop reaches Miller-Rabin with d = 0 and halves
-    # it forever. test_is_probable_prime_below_two covers it.
-    candidates = [n for n in range(5000) if n != 1]
-    candidates += [rng.getrandbits(1024) | (1 << 1023) | 1 for _ in range(200)]
-    candidates += [2**521 - 1, 2**607 - 1, 2**1279 - 1]
-    primes = 0
-    for n in candidates:
-        new, old = ca_module._HashStream(b"mr"), ca_module._HashStream(b"mr")
-        verdict = ca_module._is_probable_prime(n, new)
-        assert verdict == _is_probable_prime_by_loop(n, old), n
-        assert new._counter == old._counter, n
-        primes += verdict
-    assert primes >= 300

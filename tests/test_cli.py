@@ -198,11 +198,11 @@ def test_keygen_missing_file_is_data_error(tmp_path):
 
 
 # SHA-256 of `ca-init --seed 5` then `enroll --user-id alice --seed 6
-# --time 1700000000`, pinned while enroll still derived its RSA seed itself
+# --time 1700000000`, pinned when seeded keys became Ed25519
 ENROLL_SHA256 = {
-    "ca/alice.cert": "7bee9ade45a1422bc20116a2fe59eea5ff0a7566eae3aed989f74df26c33a054",
-    "ca/alice_key.pem": "3c89decd1f732ae2891a1de3e252a9e98ba496a6a10fc8641dbce15784b42eaf",
-    "ca/registry.txt": "5f3db31178eabe62c87b355f8dc8c29dfea471a3bdf234e188aeeca0c3b90405",
+    "ca/alice.cert": "0a6eb5a7794d79a8d3f91b149025a939b02283bf81649c65de67727d4d038beb",
+    "ca/alice_key.pem": "2c51441e6a713510481b5d9d16ce3de36635d6e0915b8bd572a9fb208bc31e7e",
+    "ca/registry.txt": "ad411108716391f5b0ed34b82ac11952a56ead450d4188c59020a593e0e99bae",
 }
 
 
@@ -275,7 +275,7 @@ def test_refusals_come_before_rsa_key_generation(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
     def no_keygen(*args, **kwargs):
-        raise AssertionError("RSA key generation before the refusal")
+        raise AssertionError("key generation before the refusal")
 
     monkeypatch.setattr(RsaKeyPair, "generate", no_keygen)
     cases = [
@@ -322,9 +322,9 @@ def test_session_transcript_export(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     transcript = (tmp_path / "t.txt").read_bytes()
-    # pinned before Diffie-Hellman moved onto the shared OpenSSL modexp binding
+    # pinned when certificates became Ed25519; only the certificate frames moved
     assert hashlib.sha256(transcript).hexdigest() == (
-        "72192a7addcc9c8be182fcdfdd4c71ea15efc91ec8f885e6a72ee905c07b421d"
+        "d548ef6a77a6b6cd45e4ebc4607e738fec5d2d382ae4d2d31688537729651335"
     )
     lines = transcript.decode().splitlines()
     assert len(lines) >= 6  # two certs, two pubs, two data frames
