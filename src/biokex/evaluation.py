@@ -10,11 +10,14 @@ Comparison protocol over an s-subjects x m-impressions gallery:
 
 Template similarity is the matching-bit fraction of the two revocable
 templates under one shared transformation key (the stolen-token scenario:
-an impostor who knows the key). Scores for ROC purposes come from
-templates, not hashed keys: the hash is avalanching by design, so one
-differing template bit already yields unrelated keys and a graded score
-only exists before hashing. Key-level studies (impostor keys, revocability)
-therefore expect Hamming fractions near 0.5.
+an impostor who knows the key). A bit permutation preserves the Hamming
+distance between two strings permuted by the same key, so the feature bit
+strings are scored: their scores equal the templates' under any one shared
+key. Scores for ROC purposes come from templates, not hashed keys: the
+hash is avalanching by design, so one differing template bit already
+yields unrelated keys and a graded score only exists before hashing.
+Key-level studies (impostor keys, revocability) therefore expect Hamming
+fractions near 0.5.
 
 Everything here is a pure function over its inputs; pair ranges may be
 split across workers and merged without changing any result.
@@ -28,9 +31,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .features import QuantizationConfig
+from .features import QuantizationConfig, extract_features
 from .minutiae import MinutiaeSet
-from .pipeline import pair_session_key, private_key_from_minutiae, revocable_template
+from .pipeline import pair_session_key, private_key_from_minutiae
 from .transform import TransformationKey
 
 __all__ = [
@@ -160,15 +163,14 @@ def _packed_templates(
     dataset: Sequence[Sequence[MinutiaeSet]],
     n_impressions: int,
     cfg: QuantizationConfig,
-    tkey: TransformationKey,
 ) -> np.ndarray:
-    """Revocable-template bits of the first ``n_impressions`` impressions of
-    every subject, packed into bytes MSB first: shape (subjects, impressions,
+    """Feature bits of the first ``n_impressions`` impressions of every
+    subject, packed into bytes MSB first: shape (subjects, impressions,
     2**n_p / 8)."""
     packed = np.empty((len(dataset), n_impressions, (1 << cfg.n_p) // 8), np.uint8)
     for s, impressions in enumerate(dataset):
         for i, mset in enumerate(impressions[:n_impressions]):
-            packed[s, i] = np.packbits(revocable_template(mset, cfg, tkey).bits, bitorder="big")
+            packed[s, i] = np.packbits(extract_features(mset, cfg).bits, bitorder="big")
     return packed
 
 
@@ -180,19 +182,21 @@ def _differing_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def template_similarity_scores(
     dataset: Sequence[Sequence[MinutiaeSet]],
     cfg: QuantizationConfig = QuantizationConfig(),
-    tkey: TransformationKey | None = None,
 ) -> ScoreSet:
     """Genuine and impostor matching-bit fractions under one shared key.
+
+    The feature bit strings are scored: one shared key permutes both
+    templates of a pair alike, which keeps their Hamming distance, so the
+    revocable templates under any one shared key score exactly the same.
 
     Scores come out in :func:`fvc_pairings` order. Genuine pairs are scored
     one subject at a time and impostor pairs one row at a time, so the XOR
     temporaries stay at C(m, 2) or s - 1 templates.
     """
-    tkey = tkey if tkey is not None else TransformationKey(b"shared-eval-key!")
     if len(dataset) < 2 or min(len(row) for row in dataset) < 2:
         raise EvaluationError("dataset needs >= 2 subjects with >= 2 impressions each")
     n_impressions = min(len(row) for row in dataset)
-    packed = _packed_templates(dataset, n_impressions, cfg, tkey)
+    packed = _packed_templates(dataset, n_impressions, cfg)
     nbits = 1 << cfg.n_p
     i_idx, j_idx = np.triu_indices(n_impressions, k=1)
     genuine = [_differing_bits(row[i_idx], row[j_idx]) for row in packed]

@@ -50,9 +50,9 @@ class QuantizationConfig:
     """Bit budget per triplet field and the distance range to quantize over.
 
     n_p = n_l + n_alpha + n_beta is the code width; the feature string has
-    2**n_p bins, so n_p is capped at 24 to keep it allocatable. l_max
-    defaults to 540, covering the diagonal of a 388x374 image; distances at
-    or beyond l_max clamp into the top bin.
+    2**n_p bins, so n_p is capped at 24 to keep it allocatable. l_max, a
+    positive finite length, defaults to 540, covering the diagonal of a
+    388x374 image; distances at or beyond l_max clamp into the top bin.
     """
 
     n_l: int = 5
@@ -65,8 +65,8 @@ class QuantizationConfig:
             raise FeatureError("each field needs at least one bit")
         if self.n_p > 24:
             raise FeatureError(f"n_p={self.n_p} too large; 2**n_p must stay allocatable")
-        if self.l_max <= 0:
-            raise FeatureError("l_max must be positive")
+        if not (math.isfinite(self.l_max) and self.l_max > 0):
+            raise FeatureError(f"l_max must be positive and finite, got {self.l_max}")
 
     @property
     def n_p(self) -> int:

@@ -8,13 +8,10 @@ leaked template is revoked by switching to a fresh key. The result is a
 serializes the same way. Keys live only in memory: a session draws a fresh
 one and stores none.
 
-``permute`` takes one of two routes to the same bits. A key's first use
-moves only the template's set bits through the swaps that touch them
-(``_track``), so a one-time session key builds no arrangement and nothing
-that holds its token is cached. From a key's second use on, ``permute``
-gathers through the full arrangement (``_arrangement``, an LRU cache that
-``invert`` shares). Telling the two apart needs only ``hash((token, N))``
-of the keys seen, kept in a bounded set.
+``permute`` moves only the template's set bits through the swaps that
+touch them (``_track``), so a session key builds no arrangement and nothing
+that holds its token is cached. ``invert`` gathers through the full
+arrangement (``_arrangement``, an LRU cache).
 
 The stream is a hash counter: index i is
 SHA-256(token || i as 8 big-endian bytes) reduced mod N, which keeps the
@@ -62,10 +59,6 @@ __all__ = [
 DEFAULT_TOKEN_LEN = 16
 # OpenSSL's output cap for one X9.63 KDF call, in bytes
 _KDF_MAX_BYTES = 1 << 30
-# hash((token, n)) of the keys permute has used, never the tokens; emptied
-# when full, which at worst sends a returning key down the tracking route
-_SEEN_KEYS_MAX = 1 << 12
-_seen_keys: set[int] = set()
 
 
 class TransformError(ValueError):
@@ -186,20 +179,8 @@ def _track(bits: np.ndarray, token: bytes) -> np.ndarray:
 
 
 def permute(fbs: FeatureBitString, key: TransformationKey) -> RevocableTemplate:
-    """Apply the keyed swap permutation; preserves length and popcount.
-
-    A key's first use tracks the set bits (``_track``); a key seen before is
-    likely to come back, so it gathers through the cached arrangement.
-    """
-    n = len(fbs)
-    tag = hash((key.token, n))
-    if tag in _seen_keys:
-        return RevocableTemplate(fbs.bits[_arrangement(key.token, n)], fbs.n_p)
-    bits = _track(fbs.bits, key.token)
-    if len(_seen_keys) >= _SEEN_KEYS_MAX:
-        _seen_keys.clear()
-    _seen_keys.add(tag)
-    return RevocableTemplate(bits, fbs.n_p)
+    """Apply the keyed swap permutation; preserves length and popcount."""
+    return RevocableTemplate(_track(fbs.bits, key.token), fbs.n_p)
 
 
 def invert(template: RevocableTemplate, key: TransformationKey) -> FeatureBitString:

@@ -13,7 +13,7 @@ from biokex import netsim
 from biokex.ca import RsaKeyPair
 from biokex.cli import EXIT_DATA, EXIT_USAGE, dispatch
 from biokex.evaluation import ROC_CSV_HEADER
-from biokex.features import QuantizationConfig
+from biokex.features import QuantizationConfig, extract_features
 from biokex.minutiae import PerturbationProfile, synthesize_dataset
 from biokex.pipeline import revocable_template
 from biokex.transform import TransformationKey
@@ -192,6 +192,15 @@ def test_keygen_rejects_oversized_coordinates(tmp_path, header, row):
     assert "line" in proc.stderr
 
 
+@pytest.mark.parametrize("lmax", ["nan", "inf"])
+def test_keygen_rejects_non_finite_lmax(tmp_path, lmax):
+    proc = run_cli(["keygen", "--seed", "3", "--lmax", lmax], tmp_path)
+    assert proc.returncode == EXIT_DATA == 3, proc.stderr
+    assert proc.stderr.startswith("error:") and "l_max" in proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_keygen_missing_file_is_data_error(tmp_path):
     proc = run_cli(["keygen", "--minutiae-file", "absent.txt"], tmp_path)
     assert proc.returncode == EXIT_DATA
@@ -351,10 +360,15 @@ def test_no_outputs_contain_template_bytes(tmp_path):
     cfg = QuantizationConfig.for_np(15, l_max=540.0)
     tkey = TransformationKey(b"shared-eval-key!")
     template = revocable_template(dataset[0][0], cfg, tkey)
-    packed = np.packbits(template.bits, bitorder="big").tobytes()
+    # the eval scores feature strings, so scan for the unpermuted one too
+    features = extract_features(dataset[0][0], cfg)
+    secret_strings = [
+        np.packbits(fbs.bits, bitorder="big").tobytes() for fbs in (template, features)
+    ]
 
     for path in tmp_path.rglob("*"):
         if path.is_file():
             blob = path.read_bytes()
-            assert packed not in blob
-            assert packed.hex().encode() not in blob
+            for packed in secret_strings:
+                assert packed not in blob
+                assert packed.hex().encode() not in blob

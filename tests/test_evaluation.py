@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -269,8 +270,13 @@ def test_write_summary_records(tmp_path, rng):
 
 # --- batched scoring and sweep against their per-pair and per-threshold forms ---
 
-def test_template_scores_match_per_pair_path(small_dataset, cfg12):
-    tkey = TransformationKey(b"per-pair-oracle!")
+@pytest.mark.parametrize("token", [b"shared-eval-key!", b"per-pair-oracle!", None],
+                         ids=["shared-eval-key", "per-pair-oracle", "random"])
+def test_template_scores_match_per_pair_path(small_dataset, cfg12, token):
+    # the scores take no key, and revocable templates under any one shared
+    # key, a fresh random one included, score exactly as they do
+    token = os.urandom(16) if token is None else token
+    tkey = TransformationKey(token)
     # a ragged gallery: the pairings use the shortest row's impressions
     dataset = [list(row) for row in small_dataset]
     dataset[3] = dataset[3] + [dataset[4][0]]
@@ -286,9 +292,9 @@ def test_template_scores_match_per_pair_path(small_dataset, cfg12):
     pairs = fvc_pairings(len(dataset), 3)
     genuine = np.array([score(packed[s][i], packed[s][j]) for s, i, j in pairs.genuine])
     impostor = np.array([score(packed[si][0], packed[sj][0]) for si, sj in pairs.impostor])
-    scores = template_similarity_scores(dataset, cfg12, tkey)
-    assert scores.genuine.tobytes() == genuine.tobytes()
-    assert scores.impostor.tobytes() == impostor.tobytes()
+    scores = template_similarity_scores(dataset, cfg12)
+    assert scores.genuine.tobytes() == genuine.tobytes(), token.hex()
+    assert scores.impostor.tobytes() == impostor.tobytes(), token.hex()
 
 
 def roc_per_threshold(scores):

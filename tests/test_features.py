@@ -247,6 +247,16 @@ def test_config_validation():
     assert QuantizationConfig.for_np(12).n_p == 12
 
 
+@pytest.mark.parametrize("l_max", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_l_max(l_max):
+    # a NaN bin width casts to an arbitrary integer and an infinite one puts
+    # every pair in bin 0, so neither may reach extraction
+    with pytest.raises(FeatureError, match="l_max"):
+        QuantizationConfig(l_max=l_max)
+    with pytest.raises(FeatureError, match="l_max"):
+        QuantizationConfig.for_np(12, l_max=l_max)
+
+
 # SHA-256 of the concatenated ``extract_features(...).serialize()`` over every
 # set of each ``pinned_galleries`` entry, computed with per-pair trigonometry
 FEATURE_PINS = {

@@ -414,14 +414,13 @@ def test_track_rejects_non_power_of_two():
         _track(np.ones(12, dtype=np.uint8), TOKEN)
 
 
-def test_first_permute_tracks_and_second_gathers(rng):
+def test_permute_twice_under_one_key_builds_no_arrangement(rng):
     fbs = _random_fbs(rng, n_p=15, density=0.02)
     key = TransformationKey(rng.bytes(16))
     _arrangement.cache_clear()
     first = permute(fbs, key)
-    assert _arrangement.cache_info().currsize == 0
     second = permute(fbs, key)
-    assert _arrangement.cache_info().currsize == 1
+    assert _arrangement.cache_info().currsize == 0
     assert first == second
     assert invert(first, key) == fbs
     _arrangement.cache_clear()
@@ -429,38 +428,11 @@ def test_first_permute_tracks_and_second_gathers(rng):
 
 def test_session_keys_leave_no_arrangement(ca_env):
     # a session's two fresh keys are tracked: nothing that holds a token
-    # outlives the session, and a key used twice is cached as before
+    # outlives the session
     registry, alice, bob = ca_env
     _arrangement.cache_clear()
-    transform_module._seen_keys.clear()
     outcome = netsim.run_session(
         alice, bob, None, ca_public_key=registry.public_key, seed=31, session_id=7
     )
     assert outcome.established
     assert _arrangement.cache_info().currsize == 0
-    assert len(transform_module._seen_keys) == 2
-    assert all(isinstance(h, int) for h in transform_module._seen_keys)
-
-    fbs = FeatureBitString(np.eye(1, 1 << 12, 5, dtype=np.uint8)[0], 12)
-    key = TransformationKey(b"used twice")
-    permute(fbs, key)
-    assert _arrangement.cache_info().currsize == 0
-    permute(fbs, key)
-    assert _arrangement.cache_info().currsize == 1
-    _arrangement.cache_clear()
-
-
-def test_seen_keys_record_is_bounded(monkeypatch):
-    # a full record is emptied; a key forgotten that way is tracked again
-    monkeypatch.setattr(transform_module, "_SEEN_KEYS_MAX", 2)
-    monkeypatch.setattr(transform_module, "_seen_keys", set())
-    fbs = FeatureBitString(np.eye(1, 1 << 10, 9, dtype=np.uint8)[0], 10)
-    keys = [TransformationKey(bytes([i])) for i in range(3)]
-    expected = [permute(fbs, key) for key in keys]
-    assert len(transform_module._seen_keys) == 1
-    _arrangement.cache_clear()
-    assert permute(fbs, keys[2]) == expected[2]
-    assert _arrangement.cache_info().currsize == 1
-    assert permute(fbs, keys[0]) == expected[0]
-    assert _arrangement.cache_info().currsize == 1
-    _arrangement.cache_clear()
