@@ -12,9 +12,9 @@ local key search: its private key is SHA-256 over a domain tag and the
 integer seed, and ``cryptography`` does the rest. Keys of any other type
 are refused with a :class:`CaError`.
 
-A registry lives in memory or in a CA directory that only ``CaRegistry``
-reads and writes: ``ca_key.pem`` (PKCS#8), ``ca_pub.der`` (SPKI), the
-audit file ``registry.txt`` and one ``<id>.cert`` per enrollment.
+A registry lives in memory or in a CA directory: ``ca_key.pem`` (PKCS#8),
+``ca_pub.der`` (SPKI), the audit file ``registry.txt`` and, per
+enrollment, ``<id>.cert`` and the user's ``<id>_key.pem``.
 
 ``verify_certificate`` is pure and freely concurrent; ``CaRegistry.enroll``
 mutates the registry and follows a single-writer contract.
@@ -45,10 +45,12 @@ __all__ = [
     "SignatureInvalidError",
     "verify_certificate",
     "certificate_digest",
+    "USER_KEY",
 ]
 
-# the files of a CA directory
+# the files of a CA directory: the CA's own, then one user's
 _CA_KEY, _CA_PUB, _AUDIT = "ca_key.pem", "ca_pub.der", "registry.txt"
+USER_KEY, _USER_CERT = "{}_key.pem", "{}.cert"
 
 
 class CaError(ValueError):
@@ -207,9 +209,11 @@ class CaRegistry:
     ``CaRegistry(ca_keypair)`` keeps everything in memory. :meth:`create`
     starts a registry in a CA directory and :meth:`open` reopens it; there
     each enrollment appends one audit line "<user_id> <hex pub fingerprint>
-    <timestamp>" and writes ``<user_id>.cert``, and an id that is not one
-    printable file name is refused before anything is written. An id is
-    everything before an audit line's last two fields, so it may hold spaces.
+    <timestamp>" and writes ``<user_id>.cert``. An id that is not one
+    printable file name, or whose ``<id>.cert`` or ``<id>_key.pem`` is one of
+    the CA's own file names in any letter case (``ca``), is refused before
+    anything is written. An id is everything before an audit line's last two
+    fields, so it may hold spaces.
     """
 
     def __init__(self, ca_keypair: RsaKeyPair):
@@ -222,7 +226,8 @@ class CaRegistry:
         """Write the CA key, ``ca_pub.der`` and an empty audit file into
         ``directory``, which must not already hold a CA key."""
         directory = Path(directory)
-        cls.check_creatable(directory)
+        if (directory / _CA_KEY).exists():
+            raise CaError(f"{directory / _CA_KEY} exists; a CA directory is initialized once")
         directory.mkdir(parents=True, exist_ok=True)
         ca_keypair.save_private(directory / _CA_KEY)
         (directory / _CA_PUB).write_bytes(ca_keypair.public_der)
@@ -230,14 +235,6 @@ class CaRegistry:
         registry = cls(ca_keypair)
         registry.directory = directory
         return registry
-
-    @staticmethod
-    def check_creatable(directory: str | Path) -> None:
-        """Refuse a directory that already holds a CA key, so that a caller
-        can refuse before generating one."""
-        key_path = Path(directory) / _CA_KEY
-        if key_path.exists():
-            raise CaError(f"{key_path} exists; a CA directory is initialized once")
 
     @classmethod
     def open(cls, directory: str | Path) -> "CaRegistry":
@@ -264,22 +261,18 @@ class CaRegistry:
     def public_key(self) -> ed25519.Ed25519PublicKey:
         return self.ca_keypair.public_key
 
-    def check_enrollable(self, identity: Identity) -> None:
-        """Refuse an id already enrolled or, in a CA directory, one that is
-        not one printable file name, so that a caller can refuse before
-        generating the user's key pair."""
-        user_id = identity.user_id
-        if user_id in self.enrolled:
-            raise EnrollmentConflictError(f"user {user_id!r} already enrolled")
-        if self.directory is not None and (
-            not user_id.isprintable() or user_id in (".", "..") or set(user_id) & {"/", "\\"}
-        ):
-            raise CaError(f"user id {user_id!r} is not one printable file name")
-
     def enroll(
         self, identity: Identity, user_public_der: bytes, now: int | None = None
     ) -> Certificate:
-        self.check_enrollable(identity)
+        user_id = identity.user_id
+        if user_id in self.enrolled:
+            raise EnrollmentConflictError(f"user {user_id!r} already enrolled")
+        if self.directory is not None:
+            if not user_id.isprintable() or user_id in (".", "..") or set(user_id) & {"/", "\\"}:
+                raise CaError(f"user id {user_id!r} is not one printable file name")
+            own = {n.format(user_id).lower() for n in (USER_KEY, _USER_CERT)}
+            if own & {_CA_KEY, _CA_PUB, _AUDIT}:
+                raise CaError(f"user id {user_id!r} would overwrite a file of the CA")
         _load_public_der(user_public_der)
         timestamp = int(time.time()) if now is None else int(now)
 
@@ -296,7 +289,7 @@ class CaRegistry:
         user_id = cert.identity.user_id
         with (self.directory / _AUDIT).open("a", encoding="utf-8") as fh:
             fh.write(f"{user_id} {cert.public_fingerprint} {timestamp}\n")
-        (self.directory / f"{user_id}.cert").write_bytes(cert.encode())
+        (self.directory / _USER_CERT.format(user_id)).write_bytes(cert.encode())
 
 
 def verify_certificate(ca_public_key: ed25519.Ed25519PublicKey, cert: Certificate) -> Identity:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, netsim
-from .ca import CaError, CaRegistry
+from .ca import USER_KEY, CaError, CaRegistry
 from .features import FeatureError, QuantizationConfig, extract_features
 from .keyagree import RFC3526_2048, derive_private_key, public_key
 from .minutiae import (
@@ -117,7 +117,7 @@ def _cmd_ca_init(args) -> int:
 def _cmd_enroll(args) -> int:
     registry = CaRegistry.open(args.ca_dir)
     party = netsim.make_enrolled_party(registry, args.user_id, args.seed, now=args.time)
-    party.keypair.save_private(args.ca_dir / f"{args.user_id}_key.pem")
+    party.keypair.save_private(args.ca_dir / USER_KEY.format(args.user_id))
     print(f"enrolled {args.user_id} in {args.ca_dir}")
     return EXIT_OK
 

@@ -148,21 +148,15 @@ class SessionKey:
             raise KeyAgreementError(f"session key must be 32 bytes, got {len(self.key)}")
 
 
-def _exponent_from_digest(digest: bytes) -> int:
-    exponent = int.from_bytes(digest, "big")
-    if exponent == 0:
-        raise KeyAgreementError("all-zero digest cannot seed a private key")
-    return exponent
-
-
 def derive_private_key(template: RevocableTemplate) -> PrivateKey:
     """SHA-256 of the packed template bytes, used directly as the exponent.
 
     No reduction or padding is applied: the exponent is 256 bits and the
-    default modulus 2048, so exponent < q always holds.
+    default modulus 2048, so exponent < q always holds; :class:`PrivateKey`
+    refuses the all-zero digest.
     """
     digest = hashlib.sha256(template.serialize()).digest()
-    return PrivateKey(_exponent_from_digest(digest))
+    return PrivateKey(int.from_bytes(digest, "big"))
 
 
 def modexp(base: int, exponent: int, modulus: int) -> int:

@@ -359,19 +359,27 @@ def synthesize_subject(
     _check_image_size(width, height)
     _check_seed(seed, "seed")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    minutiae: list[tuple[int, int, float]] = []
-    seen: set[tuple[int, int, float]] = set()
-    while len(minutiae) < n_minutiae:
-        x = int(rng.integers(0, width, endpoint=True))
-        y = int(rng.integers(0, height, endpoint=True))
-        theta = normalize_degrees(rng.uniform(0.0, 360.0))
-        key = (x, y, theta)
-        if key in seen:
-            continue
-        seen.add(key)
-        minutiae.append(key)
+    minutiae = _draw_unique(rng, n_minutiae, width, height, set())
     sid = subject_id if subject_id is not None else f"synth-{seed}"
     return MinutiaeSet(sid, 0, width, height, minutiae)
+
+
+def _draw_unique(
+    rng: np.random.Generator, count: int, width: int, height: int, seen: set
+) -> list[tuple[int, int, float]]:
+    """``count`` minutiae, each drawn as x, y, then angle, and drawn again
+    while it repeats one in ``seen``; ``seen`` gains every one returned."""
+    drawn: list[tuple[int, int, float]] = []
+    while len(drawn) < count:
+        m = (
+            int(rng.integers(0, width, endpoint=True)),
+            int(rng.integers(0, height, endpoint=True)),
+            normalize_degrees(rng.uniform(0.0, 360.0)),
+        )
+        if m not in seen:
+            seen.add(m)
+            drawn.append(m)
+    return drawn
 
 
 def perturb(mset: MinutiaeSet, profile: PerturbationProfile) -> MinutiaeSet:
@@ -418,17 +426,7 @@ def _perturbed_points(mset: MinutiaeSet, profile: PerturbationProfile) -> np.nda
 
     n_spurious = int(round(profile.spurious_rate * n))
     if n_spurious:
-        seen = set(zip(*pts.tolist()))
-        spurious = []
-        for _ in range(n_spurious):
-            while True:
-                x = int(rng.integers(0, mset.width, endpoint=True))
-                y = int(rng.integers(0, mset.height, endpoint=True))
-                theta = normalize_degrees(rng.uniform(0.0, 360.0))
-                if (x, y, theta) not in seen:
-                    break
-            seen.add((x, y, theta))
-            spurious.append((x, y, theta))
+        spurious = _draw_unique(rng, n_spurious, mset.width, mset.height, set(zip(*pts.tolist())))
         pts = np.concatenate((pts, np.array(spurious, dtype=np.float64).T), axis=1)
 
     # positional rounding can collide two survivors: keep the first

@@ -237,6 +237,17 @@ def test_directory_registry_refuses_non_file_name_ids(ca, user_keys, tmp_path, u
     assert verify_certificate(ca.public_key, Certificate.decode(cert.encode())) == Identity(user_id)
 
 
+@pytest.mark.parametrize("user_id", ["ca", "CA"])
+def test_directory_registry_refuses_ids_that_name_ca_files(ca, user_keys, tmp_path, user_id):
+    registry = CaRegistry.create(tmp_path, ca.ca_keypair)
+    with pytest.raises(CaError, match="would overwrite a file of the CA"):
+        registry.enroll(Identity(user_id), user_keys.public_der, now=1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ca_key.pem", "ca_pub.der", "registry.txt"]
+    assert (tmp_path / "registry.txt").read_bytes() == b"" and registry.enrolled == set()
+    # in memory there is no file to overwrite
+    CaRegistry(ca.ca_keypair).enroll(Identity(user_id), user_keys.public_der, now=1)
+
+
 def test_identity_limits():
     with pytest.raises(CaError):
         Identity("")

@@ -10,7 +10,6 @@ import pytest
 
 import biokex
 from biokex import netsim
-from biokex.ca import RsaKeyPair
 from biokex.cli import EXIT_DATA, EXIT_USAGE, dispatch
 from biokex.evaluation import ROC_CSV_HEADER
 from biokex.features import QuantizationConfig, extract_features
@@ -277,26 +276,25 @@ def test_ca_init_refuses_existing_ca(tmp_path, monkeypatch):
     assert _tree(tmp_path) == before
 
 
-def test_refusals_come_before_rsa_key_generation(tmp_path, monkeypatch, capsys):
+def test_refusals_write_nothing(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert dispatch(["ca-init", "--out-dir", "ca", "--seed", "5"]) == 0
     assert dispatch(["enroll", "--ca-dir", "ca", "--user-id", "bob", "--seed", "6"]) == 0
     capsys.readouterr()
-
-    def no_keygen(*args, **kwargs):
-        raise AssertionError("key generation before the refusal")
-
-    monkeypatch.setattr(RsaKeyPair, "generate", no_keygen)
+    before = _tree(tmp_path)
     cases = [
         (["enroll", "--ca-dir", "ca", "--user-id", "bob"], "error: user 'bob' already enrolled"),
         (["enroll", "--ca-dir", "ca", "--user-id", "../outside"],
          "error: user id '../outside' is not one printable file name"),
         (["ca-init", "--out-dir", "ca"],
          f"error: {Path('ca', 'ca_key.pem')} exists; a CA directory is initialized once"),
+        (["enroll", "--ca-dir", "ca", "--user-id", "ca"],
+         "error: user id 'ca' would overwrite a file of the CA"),
     ]
     for argv, message in cases:
         assert dispatch([*argv, "--seed", "7"]) == EXIT_DATA, argv
         assert capsys.readouterr().err.strip() == message
+        assert _tree(tmp_path) == before, argv
 
 
 def test_enroll_without_ca_is_data_error(tmp_path):

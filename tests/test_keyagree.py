@@ -1,11 +1,12 @@
 import ctypes
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from biokex import _openssl
+from biokex import _openssl, keyagree
 from biokex.features import FeatureBitString
 from biokex.keyagree import (
     DegenerateKeyError,
@@ -17,7 +18,6 @@ from biokex.keyagree import (
     RFC3526_2048,
     RFC3526_MODP_2048_HEX,
     SessionKey,
-    _exponent_from_digest,
     _jacobi,
     _residue_generator,
     derive_private_key,
@@ -312,9 +312,12 @@ def test_private_key_avalanche_on_single_bit_flips(rng):
     assert 0.48 <= float(fractions.mean()) <= 0.52
 
 
-def test_zero_digest_guard():
-    with pytest.raises(KeyAgreementError, match="zero"):
-        _exponent_from_digest(b"\x00" * 32)
+def test_zero_digest_guard(monkeypatch):
+    template = _template(np.zeros(1 << 12, dtype=np.uint8))
+    zero = SimpleNamespace(digest=lambda: b"\x00" * 32)
+    monkeypatch.setattr(keyagree.hashlib, "sha256", lambda data: zero)
+    with pytest.raises(KeyAgreementError, match="nonzero"):
+        derive_private_key(template)
 
 
 def test_session_key_from_toy_exchange():

@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biokex import netsim
+from biokex import netsim, protocol
 from biokex.ca import CaRegistry, Identity, RsaKeyPair
 from biokex.minutiae import Minutia, MinutiaeSet
 from biokex.netsim import (
@@ -23,7 +24,7 @@ from biokex.netsim import (
     run_scenario,
     run_session,
 )
-from biokex.protocol import AbortReason, WireMessage, MSG_CERT, MSG_DATA
+from biokex.protocol import AbortReason, WireMessage, MSG_ABORT, MSG_CERT, MSG_DATA
 
 
 def _passive_outcome(ca_env, adversary, seed=5):
@@ -151,12 +152,36 @@ def test_failure_transcripts_pinned(ca_env, case, frames, reason):
     )
 
 
-def test_unenrolled_party_is_config_error(ca_env):
+@pytest.mark.parametrize("stranger_side", ["a", "b"])
+def test_unenrolled_party_fails_certificate_verification(ca_env, stranger_side):
+    # the endpoints are the only certificate check: a party enrolled under
+    # another CA fails the handshake exactly as its peer sees it on the wire
     registry, alice, bob = ca_env
-    stranger_registry = CaRegistry(RsaKeyPair.generate(555))
-    stranger = make_enrolled_party(stranger_registry, "stranger", 50)
-    with pytest.raises(SimulationError, match="not enrolled"):
-        run_session(alice, stranger, None, ca_public_key=registry.public_key)
+    stranger = make_enrolled_party(CaRegistry(RsaKeyPair.generate(555)), "stranger", 50)
+    a, b = (stranger, bob) if stranger_side == "a" else (alice, stranger)
+    outcome = run_session(a, b, None, ca_public_key=registry.public_key)
+    assert not outcome.established and outcome.record is None
+    assert outcome.failure_reason is AbortReason.CERT_VERIFICATION
+    expected = ["a->b", "b->a"] if stranger_side == "a" else ["a->b", "b->a", "a->b"]
+    assert [d for d, _ in outcome.transcript] == expected
+    assert WireMessage.decode(outcome.transcript[-1][1]) == WireMessage(MSG_ABORT, bytes([1]))
+
+
+def test_each_certificate_is_verified_once(ca_env, monkeypatch):
+    # every biokex module that holds the function, not only the endpoint's
+    verified = []
+    original = protocol.verify_certificate
+
+    def counting(ca_public_key, cert):
+        verified.append(cert.identity.user_id)
+        return original(ca_public_key, cert)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("biokex") and vars(module).get("verify_certificate") is original:
+            monkeypatch.setattr(module, "verify_certificate", counting)
+    outcome = _passive_outcome(ca_env, AdversaryPolicy(AdversaryMode.PASSIVE))
+    assert outcome.established
+    assert sorted(verified) == ["alice", "bob"]
 
 
 def test_host_compromise_probe_matrix(ca_env):
