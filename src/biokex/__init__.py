@@ -38,7 +38,6 @@ from .evaluation import (
     compute_roc,
     eer,
     fvc_pairings,
-    hamming_fraction,
     shannon_entropy,
 )
 

@@ -42,8 +42,6 @@ __all__ = [
     "RocPoint",
     "EvaluationError",
     "HISTOGRAM_BINS",
-    "hamming_fraction",
-    "bit_array",
     "fvc_pairings",
     "template_similarity_scores",
     "session_key_sample",
@@ -114,24 +112,6 @@ class DistributionSummary:
             f"max={self.max:.6f}",
             "histogram=" + ",".join(str(int(c)) for c in self.histogram),
         ]
-
-
-def bit_array(data: bytes | np.ndarray) -> np.ndarray:
-    """Bit vector view: bytes unpack most-significant-bit first."""
-    if isinstance(data, (bytes, bytearray, memoryview)):
-        return np.unpackbits(np.frombuffer(bytes(data), dtype=np.uint8), bitorder="big")
-    arr = np.asarray(data, dtype=np.uint8)
-    if arr.max(initial=0) > 1:
-        raise EvaluationError("bit vector entries must be 0 or 1")
-    return arr
-
-
-def hamming_fraction(a: bytes | np.ndarray, b: bytes | np.ndarray) -> float:
-    """Fraction of differing bits between two equal-length bit vectors."""
-    va, vb = bit_array(a), bit_array(b)
-    if va.shape != vb.shape:
-        raise EvaluationError(f"length mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    return float(np.count_nonzero(va != vb)) / va.shape[0]
 
 
 class FvcPairings(NamedTuple):

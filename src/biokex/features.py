@@ -239,14 +239,16 @@ def extract_features(mset: MinutiaeSet, cfg: QuantizationConfig) -> FeatureBitSt
     np.multiply(x, x, out=a)
     a += np.multiply(y, y, out=b)
     np.sqrt(a, out=a)
-    a /= l_width
-    # division is monotone, so the sqrt and hypot quotients straddle an
-    # integer only within a few ulps of it; NaN compares false, so falls back
-    np.subtract(a, np.rint(a, out=b), out=b)
-    np.abs(b, out=b)
-    near = ~(b > np.multiply(a, 1e-9, out=c))
-    if near.any():
-        a[near] = np.hypot(x[near], y[near]) / l_width
+    # a tiny l_max makes the quotient inf, which clamps into the top bin below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a /= l_width
+        # division is monotone, so the sqrt and hypot quotients straddle an
+        # integer only within a few ulps of it; NaN compares false, so falls back
+        np.subtract(a, np.rint(a, out=b), out=b)
+        np.abs(b, out=b)
+        near = ~(b > np.multiply(a, 1e-9, out=c))
+        if near.any():
+            a[near] = np.hypot(x[near], y[near]) / l_width
     l_bin = np.minimum(a, l_bins - 1, out=a).astype(np.int32)
 
     alpha = _wrap360(np.degrees(np.arctan2(y, x, out=b), out=b), out=a)

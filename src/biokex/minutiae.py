@@ -294,12 +294,10 @@ def parse_minutiae_file(
         width, height = int(header[0]), int(header[1])
     except ValueError:
         raise MinutiaeParseError(1, f"malformed header: non-numeric {lines[0]!r}") from None
-    if width <= 0 or height <= 0:
-        raise MinutiaeParseError(1, f"malformed header: non-positive size {width}x{height}")
-    if width > MAX_COORDINATE or height > MAX_COORDINATE:
-        raise MinutiaeParseError(
-            1, f"malformed header: size {width}x{height} above {MAX_COORDINATE}"
-        )
+    try:
+        _check_image_size(width, height)
+    except MinutiaeError as exc:
+        raise MinutiaeParseError(1, f"malformed header: {exc}") from None
 
     minutiae: list[tuple[int, int, float]] = []
     seen: set[tuple[int, int, float]] = set()

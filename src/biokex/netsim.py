@@ -19,11 +19,11 @@ The endpoints alone verify certificates; the simulator checks none itself.
 
 "Attacker learned X" is operationalized as: the bytes of X occur in the
 adversary's stored state. That is a falsifiable predicate, not an
-information-theoretic claim. ``run_session`` takes one snapshot of that
-state per session and tests every plaintext against it in one pass: an
-exact filter on the snapshot's aligned 8-byte words, then the substring
-search for the plaintexts the filter cannot rule out. The filter never
-changes the answer, only how many full scans it takes.
+information-theoretic claim. The one check, ``AdversaryPolicy.learned``,
+takes one snapshot of that state and tests every plaintext against it in
+one pass: an exact filter on the snapshot's aligned 8-byte words, then the
+substring search for the plaintexts the filter cannot rule out. The filter
+never changes the answer, only how many full scans it takes.
 
 Biometric data never enters any persisted or captured state; an adversary
 resident in a host's memory during capture is outside this model.
@@ -47,7 +47,6 @@ from .features import QuantizationConfig
 from .minutiae import SENSOR_HEIGHT, SENSOR_WIDTH, MinutiaeSet, synthesize_subject
 from .protocol import (
     MSG_CERT,
-    MSG_DATA,
     NONCE_BYTES,
     AbortReason,
     HandshakeAborted,
@@ -118,6 +117,11 @@ class AdversaryPolicy:
 
     def knows(self, material: bytes) -> bool:
         return material in self.state_blob()
+
+    def learned(self, keys: list[bytes], plaintexts: list[bytes]) -> tuple[bool, bool]:
+        """Whether any key, and any plaintext, occurs in one snapshot of the stored state."""
+        blob = self.state_blob()
+        return any(k in blob for k in keys), _occurs_any(plaintexts, blob)
 
 
 def _occurs_any(needles: list[bytes], haystack: bytes) -> bool:
@@ -197,24 +201,15 @@ class SessionRecord:
     """Retained by the simulator for offline analysis (test instrumentation;
     the parties themselves drop their key material at teardown)."""
 
-    session_id: int
     key: bytes
-    transcript: list[tuple[str, bytes]]
     plaintexts: list[tuple[str, bytes]]
-
-    def data_frames(self) -> list[tuple[str, bytes]]:
-        out = []
-        for direction, frame in self.transcript:
-            msg = WireMessage.decode(frame)
-            if msg.msg_type == MSG_DATA:
-                out.append((direction, msg.payload))
-        return out
+    ciphertexts: list[bytes]  # the data frames' payloads as delivered, in order
 
     def frames_opened_by(self, key: bytes) -> int:
         """How many of this session's data frames authenticate under ``key``."""
         aead = AESGCM(key)
         opened = 0
-        for _, payload in self.data_frames():
+        for payload in self.ciphertexts:
             try:
                 aead.decrypt(payload[:NONCE_BYTES], payload[NONCE_BYTES:], None)
                 opened += 1
@@ -302,25 +297,27 @@ def run_session(
         # scripted traffic
         if sk_a.key == sk_b.key:
             delivered: list[tuple[str, bytes]] = []
+            ciphertexts: list[bytes] = []
             for direction, plaintext in plaintexts:
                 sender, receiver = (ep_a, ep_b) if direction == "a->b" else (ep_b, ep_a)
                 channel.send(direction, sender.seal(plaintext))
-                delivered.append((direction, receiver.open(channel.deliver(direction))))
-            record = SessionRecord(session_id, sk_a.key, list(channel.delivered_log), delivered)
+                msg = channel.deliver(direction)
+                ciphertexts.append(msg.payload)
+                delivered.append((direction, receiver.open(msg)))
+            record = SessionRecord(sk_a.key, delivered, ciphertexts)
     except HandshakeAborted as exc:
         failure = exc.reason
     finally:
         ep_a.close()
         ep_b.close()
 
-    # one state snapshot answers every "attacker learned" question
-    blob = adversary.state_blob() if adversary is not None else None
+    learned_key, learned_plaintext = (False, False) if adversary is None else adversary.learned(
+        [record.key] if record is not None else [], [p for _, p in plaintexts]
+    )
     return SessionOutcome(
         established=record is not None,
-        attacker_learned_key=blob is not None and record is not None and record.key in blob,
-        attacker_learned_plaintext=blob is not None and _occurs_any(
-            [p for _, p in plaintexts], blob
-        ),
+        attacker_learned_key=learned_key,
+        attacker_learned_plaintext=learned_plaintext,
         failure_reason=failure,
         session_id=session_id,
         record=record,
@@ -346,7 +343,7 @@ def host_compromise_probe(
         )
     key = session_history[compromised_session].key
     return ExposureReport(compromised_session, [
-        0 < record.frames_opened_by(key) == len(record.data_frames())
+        0 < record.frames_opened_by(key) == len(record.ciphertexts)
         for record in session_history
     ])
 
@@ -484,15 +481,15 @@ def run_scenario(scenario: Scenario) -> ScenarioRecord:
         ]
 
     failure = next((o.failure_reason for o in outcomes if o.failure_reason is not None), None)
-    # one snapshot, after any stolen key, answers both "attacker learned" rows
-    blob = adversary.state_blob()
+    # asked after any stolen key is stored
+    learned_key, learned_plaintext = adversary.learned(
+        [r.key for r in records], [p for _, p in scenario.messages]
+    )
     return ScenarioRecord([
         ("scenario", scenario.mode.value),
         ("established", _bool(all(o.established for o in outcomes))),
         *mode_rows,
-        ("attacker_learned_key", _bool(any(r.key in blob for r in records))),
-        ("attacker_learned_plaintext", _bool(
-            _occurs_any([p for _, p in scenario.messages], blob)
-        )),
+        ("attacker_learned_key", _bool(learned_key)),
+        ("attacker_learned_plaintext", _bool(learned_plaintext)),
         ("failure_reason", "none" if failure is None else failure.label),
     ])

@@ -176,7 +176,6 @@ class WireMessage:
 class HandshakeState:
     phase: Phase = Phase.IDLE
     peer_identity: Identity | None = None
-    session_key: SessionKey | None = None
     send_counter: int = 0
     recv_counter: int = -1
     abort_reason: AbortReason | None = None
@@ -192,10 +191,10 @@ class SessionEndpoint:
     ``frame`` is the abort to send, with phase ``FAILED``. Once established,
     ``seal`` makes data frames and ``open`` reads them. Private key material
     lives only in memory. ``close`` drops this endpoint's references to the
-    DH private key, the session key and its AES-GCM context, and leaves the
-    endpoint unusable; it cannot wipe them, because CPython ``bytes`` are
-    immutable and the :class:`SessionKey` returned by ``establish`` stays
-    with the caller.
+    DH private key and to the AES-GCM context keyed by the session key, and
+    leaves the endpoint unusable; it cannot wipe them, because CPython
+    ``bytes`` are immutable and the :class:`SessionKey` returned by
+    ``establish`` stays with the caller.
     """
 
     def __init__(
@@ -291,7 +290,6 @@ class SessionEndpoint:
         sk = session_key(intermediate, self.session_id)
         self._private_key = None
         self._aead = AESGCM(sk.key)
-        self.state.session_key = sk
         self.state.phase = Phase.ESTABLISHED
         return sk
 
@@ -335,7 +333,6 @@ class SessionEndpoint:
         """Drop the key material and end the session; idempotent."""
         self._aead = None
         self._private_key = None
-        self.state.session_key = None
         self.state.phase = Phase.FAILED
 
     # -- helpers ---------------------------------------------------------------

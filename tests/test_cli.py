@@ -200,6 +200,14 @@ def test_keygen_rejects_non_finite_lmax(tmp_path, lmax):
     assert proc.stdout == ""
 
 
+def test_keygen_tiny_lmax_writes_nothing_to_stderr(tmp_path):
+    # every distance clamps into the top L bin; the overflowing quotient
+    # behind that is not a warning
+    proc = run_cli(["keygen", "--seed", "3", "--lmax", "1e-305"], tmp_path)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
 def test_keygen_missing_file_is_data_error(tmp_path):
     proc = run_cli(["keygen", "--minutiae-file", "absent.txt"], tmp_path)
     assert proc.returncode == EXIT_DATA

@@ -15,7 +15,6 @@ from biokex.evaluation import (
     compute_roc,
     eer,
     fvc_pairings,
-    hamming_fraction,
     pairwise_key_hamming,
     revocability_fractions,
     session_key_sample,
@@ -27,45 +26,6 @@ from biokex.features import QuantizationConfig
 from biokex.minutiae import PerturbationProfile, synthesize_dataset
 from biokex.pipeline import private_key_from_minutiae, revocable_template
 from biokex.transform import TransformationKey
-
-
-# --- hamming ---------------------------------------------------------------
-
-def test_hamming_identical_is_zero():
-    assert hamming_fraction(b"\xaa" * 8, b"\xaa" * 8) == 0.0
-
-
-def test_hamming_complementary_is_one():
-    assert hamming_fraction(b"\x00" * 8, b"\xff" * 8) == 1.0
-
-
-def test_hamming_half_of_256_bits():
-    # 256-bit strings differing in exactly 128 positions
-    a = b"\x00" * 32
-    b = b"\x0f" * 32
-    assert hamming_fraction(a, b) == 0.5
-
-
-def test_hamming_accepts_bit_arrays():
-    a = np.array([0, 1, 0, 1], dtype=np.uint8)
-    b = np.array([0, 1, 1, 1], dtype=np.uint8)
-    assert hamming_fraction(a, b) == 0.25
-
-
-def test_hamming_length_mismatch():
-    with pytest.raises(EvaluationError, match="length"):
-        hamming_fraction(b"\x00", b"\x00\x00")
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_hamming_is_a_metric(seed):
-    rng = np.random.default_rng(seed)
-    x, y, z = (rng.integers(0, 2, size=64).astype(np.uint8) for _ in range(3))
-    dxy = hamming_fraction(x, y)
-    assert dxy == hamming_fraction(y, x)
-    assert hamming_fraction(x, x) == 0.0
-    assert dxy <= hamming_fraction(x, z) + hamming_fraction(z, y) + 1e-12
 
 
 # --- pairings ----------------------------------------------------------------
@@ -240,7 +200,7 @@ def test_same_transformation_key_distance_zero(cfg12):
     tkey = TransformationKey(b"same-key-twice!!")
     k1 = private_key_from_minutiae(ds[0][0], cfg12, tkey)
     k2 = private_key_from_minutiae(ds[0][0], cfg12, tkey)
-    assert hamming_fraction(k1.to_bytes(), k2.to_bytes()) == 0.0
+    assert k1 == k2
 
 
 def test_end_to_end_low_noise_eer(small_dataset, cfg12):

@@ -429,10 +429,12 @@ def test_extract_matches_hypot_reference_at_the_coordinate_bound(l_max):
         assert extract_features(mset, cfg) == extract_features_per_pair_trig(mset, cfg)
 
 
-@pytest.mark.parametrize("l_max", [1e-12, 1e-300])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("l_max", [1e-12, 1e-300, 1e-305, 5e-324])
 def test_extract_clamps_huge_length_quotients_into_top_bin(l_max):
-    # a quotient beyond the int64 range must clamp like any other distance
-    # at or beyond l_max, not wrap through an overflowing integer cast
+    # a quotient beyond the int64 range, or an infinite one, must clamp like
+    # any other distance at or beyond l_max, not wrap through an overflowing
+    # integer cast, and without a warning
     cfg = QuantizationConfig(l_max=l_max)
     codes = np.flatnonzero(extract_features(synthesize_subject(30, 388, 374, 1), cfg).bits)
     assert set((codes >> (cfg.n_alpha + cfg.n_beta)).tolist()) == {(1 << cfg.n_l) - 1}

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings, strategies as st
 
 from biokex import netsim, protocol
@@ -24,7 +25,7 @@ from biokex.netsim import (
     run_scenario,
     run_session,
 )
-from biokex.protocol import AbortReason, WireMessage, MSG_ABORT, MSG_CERT, MSG_DATA
+from biokex.protocol import AbortReason, WireMessage, MSG_ABORT, MSG_CERT, MSG_DATA, NONCE_BYTES
 
 
 def _passive_outcome(ca_env, adversary, seed=5):
@@ -69,6 +70,17 @@ def test_passive_equals_adversary_free_transcript(ca_env):
     without = _passive_outcome(ca_env, None, seed=8)
     assert with_adv.transcript == without.transcript
     assert with_adv.record.key == without.record.key
+
+
+def test_record_ciphertexts_are_the_delivered_data_payloads(ca_env):
+    outcome = _passive_outcome(ca_env, AdversaryPolicy(AdversaryMode.PASSIVE))
+    record = outcome.record
+    data = [WireMessage.decode(f) for _, f in outcome.transcript]
+    assert record.ciphertexts == [m.payload for m in data if m.msg_type == MSG_DATA]
+    aead = AESGCM(record.key)
+    assert [
+        aead.decrypt(c[:NONCE_BYTES], c[NONCE_BYTES:], None) for c in record.ciphertexts
+    ] == [p for _, p in record.plaintexts]
 
 
 def test_session_determinism(ca_env):

@@ -269,7 +269,7 @@ def test_nonce_uniqueness_over_session_trace(ca_env):
 def test_close_drops_session_key_and_is_idempotent(ca_env):
     a, _, _, _ = _handshake(ca_env)
     a.close()
-    assert a.state.session_key is None
+    assert a._aead is None and a._private_key is None
     a.close()
     with pytest.raises(ProtocolStateError):
         a.seal(b"after close")
