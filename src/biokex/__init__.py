@@ -32,7 +32,7 @@ from .keyagree import (
 )
 from .ca import CaRegistry, Certificate, Identity, RsaKeyPair, verify_certificate
 from .protocol import SessionEndpoint, WireMessage
-from .netsim import AdversaryMode, AdversaryPolicy, host_compromise_probe, run_session
+from .netsim import AdversaryMode, AdversaryPolicy, run_session
 from .evaluation import (
     ScoreSet,
     compute_roc,

@@ -18,12 +18,13 @@ Adversary modes:
 The endpoints alone verify certificates; the simulator checks none itself.
 
 "Attacker learned X" is operationalized as: the bytes of X occur in the
-adversary's stored state. That is a falsifiable predicate, not an
-information-theoretic claim. The one check, ``AdversaryPolicy.learned``,
-takes one snapshot of that state and tests every plaintext against it in
-one pass: an exact filter on the snapshot's aligned 8-byte words, then the
-substring search for the plaintexts the filter cannot rule out. The filter
-never changes the answer, only how many full scans it takes.
+adversary's stored state, or in what a key it stole opens of its captured
+data frames. That is a falsifiable predicate, not an information-theoretic
+claim. The one check, ``AdversaryPolicy.learned``, takes one snapshot of
+that state and tests every plaintext against it in one pass: an exact
+filter on the snapshot's aligned 8-byte words, then the substring search
+for the plaintexts the filter cannot rule out. The filter never changes
+the answer, only how many full scans it takes.
 
 Biometric data never enters any persisted or captured state; an adversary
 resident in a host's memory during capture is outside this model.
@@ -47,6 +48,7 @@ from .features import QuantizationConfig
 from .minutiae import SENSOR_HEIGHT, SENSOR_WIDTH, MinutiaeSet, synthesize_subject
 from .protocol import (
     MSG_CERT,
+    MSG_DATA,
     NONCE_BYTES,
     AbortReason,
     HandshakeAborted,
@@ -62,7 +64,6 @@ __all__ = [
     "PartyConfig",
     "SessionOutcome",
     "SessionRecord",
-    "ExposureReport",
     "Scenario",
     "ScenarioRecord",
     "SimulationError",
@@ -70,7 +71,6 @@ __all__ = [
     "make_environment",
     "make_enrolled_party",
     "run_session",
-    "host_compromise_probe",
     "load_scenario",
     "run_scenario",
 ]
@@ -85,7 +85,7 @@ _PARTY_MINUTIAE = 30
 
 
 class SimulationError(ValueError):
-    """Bad scenario file, channel use or probe request."""
+    """Bad scenario file or channel use."""
 
 
 class AdversaryMode(enum.Enum):
@@ -113,7 +113,9 @@ class AdversaryPolicy:
         return frame
 
     def state_blob(self) -> bytes:
-        return b"".join(f for _, f in self.captured) + b"".join(self.stolen)
+        """Captured frames, stolen keys, then what each stolen key opens."""
+        opened = [p for k in self.stolen for p in _opened_frames(k, self.captured) if p is not None]
+        return b"".join(f for _, f in self.captured) + b"".join(self.stolen) + b"".join(opened)
 
     def knows(self, material: bytes) -> bool:
         return material in self.state_blob()
@@ -122,6 +124,21 @@ class AdversaryPolicy:
         """Whether any key, and any plaintext, occurs in one snapshot of the stored state."""
         blob = self.state_blob()
         return any(k in blob for k in keys), _occurs_any(plaintexts, blob)
+
+
+def _opened_frames(key: bytes, frames: list[tuple[str, bytes]]) -> list[bytes | None]:
+    """Each data frame's AES-GCM plaintext under ``key``, or None where the tag fails."""
+    aead = AESGCM(key)
+    opened: list[bytes | None] = []
+    for _, frame in frames:
+        msg = WireMessage.decode(frame)
+        if msg.msg_type == MSG_DATA:
+            nonce, sealed = msg.payload[:NONCE_BYTES], msg.payload[NONCE_BYTES:]
+            try:
+                opened.append(aead.decrypt(nonce, sealed, None))
+            except InvalidTag:
+                opened.append(None)
+    return opened
 
 
 def _occurs_any(needles: list[bytes], haystack: bytes) -> bool:
@@ -203,19 +220,6 @@ class SessionRecord:
 
     key: bytes
     plaintexts: list[tuple[str, bytes]]
-    ciphertexts: list[bytes]  # the data frames' payloads as delivered, in order
-
-    def frames_opened_by(self, key: bytes) -> int:
-        """How many of this session's data frames authenticate under ``key``."""
-        aead = AESGCM(key)
-        opened = 0
-        for payload in self.ciphertexts:
-            try:
-                aead.decrypt(payload[:NONCE_BYTES], payload[NONCE_BYTES:], None)
-                opened += 1
-            except InvalidTag:
-                pass
-        return opened
 
 
 def make_environment(seed: int, directory: str | Path | None = None) -> CaRegistry:
@@ -297,14 +301,11 @@ def run_session(
         # scripted traffic
         if sk_a.key == sk_b.key:
             delivered: list[tuple[str, bytes]] = []
-            ciphertexts: list[bytes] = []
             for direction, plaintext in plaintexts:
                 sender, receiver = (ep_a, ep_b) if direction == "a->b" else (ep_b, ep_a)
                 channel.send(direction, sender.seal(plaintext))
-                msg = channel.deliver(direction)
-                ciphertexts.append(msg.payload)
-                delivered.append((direction, receiver.open(msg)))
-            record = SessionRecord(sk_a.key, delivered, ciphertexts)
+                delivered.append((direction, receiver.open(channel.deliver(direction))))
+            record = SessionRecord(sk_a.key, delivered)
     except HandshakeAborted as exc:
         failure = exc.reason
     finally:
@@ -323,41 +324,6 @@ def run_session(
         record=record,
         transcript=list(channel.delivered_log),
     )
-
-
-def host_compromise_probe(
-    session_history: list[SessionRecord], compromised_session: int
-) -> "ExposureReport":
-    """Try the compromised session's key against every recorded transcript.
-
-    The key must decrypt its own session's data frames and fail
-    authentication everywhere else; that is the testable form of
-    forward secrecy. A single-session history is the trivial case: the key
-    decrypts itself and nothing else exists.
-    """
-    if not session_history:
-        raise SimulationError("no completed sessions to probe")
-    if not 0 <= compromised_session < len(session_history):
-        raise SimulationError(
-            f"compromised index {compromised_session} out of range 0..{len(session_history) - 1}"
-        )
-    key = session_history[compromised_session].key
-    return ExposureReport(compromised_session, [
-        0 < record.frames_opened_by(key) == len(record.ciphertexts)
-        for record in session_history
-    ])
-
-
-@dataclass
-class ExposureReport:
-    compromised_index: int
-    decrypt_success: list[bool]
-
-    @property
-    def exposes_only_compromised(self) -> bool:
-        return all(
-            ok == (i == self.compromised_index) for i, ok in enumerate(self.decrypt_success)
-        )
 
 
 # --- scenarios --------------------------------------------------------------
@@ -467,17 +433,24 @@ def run_scenario(scenario: Scenario) -> ScenarioRecord:
     mode_rows: list[tuple[str, str]] = []
     if scenario.mode is AdversaryMode.REPLAY:
         first, second = records
+        replayed = _opened_frames(second.key, outcomes[0].transcript)
         mode_rows = [
             ("session_keys_differ", _bool(first.key != second.key)),
-            ("replayed_ciphertext_rejected", _bool(first.frames_opened_by(second.key) == 0)),
+            ("replayed_ciphertext_rejected", _bool(all(p is None for p in replayed))),
         ]
     elif scenario.mode is AdversaryMode.HOST_COMPROMISE:
-        adversary.stolen.append(records[_COMPROMISED_SESSION].key)
-        report = host_compromise_probe(records, _COMPROMISED_SESSION)
+        stolen = records[_COMPROMISED_SESSION].key
+        adversary.stolen.append(stolen)
+        # forward secrecy: the stolen key opens every data frame of its own
+        # session, of which there is one at least, and no other session's
+        opened = [_opened_frames(stolen, o.transcript) for o in outcomes]
         mode_rows = [
             ("sessions", str(len(records))),
             ("compromised", str(_COMPROMISED_SESSION)),
-            ("decrypts_only_own_session", _bool(report.exposes_only_compromised)),
+            ("decrypts_only_own_session", _bool(all(
+                (bool(frames) and None not in frames) == (i == _COMPROMISED_SESSION)
+                for i, frames in enumerate(opened)
+            ))),
         ]
 
     failure = next((o.failure_reason for o in outcomes if o.failure_reason is not None), None)

@@ -4,7 +4,6 @@ import sys
 
 import numpy as np
 import pytest
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings, strategies as st
 
 from biokex import netsim, protocol
@@ -17,15 +16,15 @@ from biokex.netsim import (
     Scenario,
     SimulationError,
     _occurs_any,
+    _opened_frames,
     format_transcript,
-    host_compromise_probe,
     load_scenario,
     make_enrolled_party,
     make_environment,
     run_scenario,
     run_session,
 )
-from biokex.protocol import AbortReason, WireMessage, MSG_ABORT, MSG_CERT, MSG_DATA, NONCE_BYTES
+from biokex.protocol import AbortReason, WireMessage, MSG_ABORT, MSG_CERT, MSG_DATA
 
 
 def _passive_outcome(ca_env, adversary, seed=5):
@@ -72,15 +71,10 @@ def test_passive_equals_adversary_free_transcript(ca_env):
     assert with_adv.record.key == without.record.key
 
 
-def test_record_ciphertexts_are_the_delivered_data_payloads(ca_env):
+def test_record_key_opens_the_delivered_data_frames(ca_env):
     outcome = _passive_outcome(ca_env, AdversaryPolicy(AdversaryMode.PASSIVE))
     record = outcome.record
-    data = [WireMessage.decode(f) for _, f in outcome.transcript]
-    assert record.ciphertexts == [m.payload for m in data if m.msg_type == MSG_DATA]
-    aead = AESGCM(record.key)
-    assert [
-        aead.decrypt(c[:NONCE_BYTES], c[NONCE_BYTES:], None) for c in record.ciphertexts
-    ] == [p for _, p in record.plaintexts]
+    assert _opened_frames(record.key, outcome.transcript) == [p for _, p in record.plaintexts]
 
 
 def test_session_determinism(ca_env):
@@ -196,18 +190,24 @@ def test_each_certificate_is_verified_once(ca_env, monkeypatch):
     assert sorted(verified) == ["alice", "bob"]
 
 
+def _opened_by_each_key(outcomes):
+    """Row i: what session i's key opens of each session's transcript."""
+    return [[_opened_frames(own.record.key, o.transcript) for o in outcomes] for own in outcomes]
+
+
 def test_host_compromise_probe_matrix(ca_env):
+    # forward secrecy: a session's key opens every data frame of its own
+    # session and no frame of any other session between the same pair
     registry, alice, bob = ca_env
-    history = [
+    outcomes = [
         run_session(alice, bob, None, ca_public_key=registry.public_key,
-                    seed=30, session_id=sid).record
+                    seed=30, session_id=sid)
         for sid in (1, 2, 3)
     ]
-    for compromised in range(3):
-        report = host_compromise_probe(history, compromised)
-        assert report.exposes_only_compromised
-        assert report.decrypt_success[compromised] is True
-        assert sum(report.decrypt_success) == 1
+    for i, row in enumerate(_opened_by_each_key(outcomes)):
+        for j, opened in enumerate(row):
+            own = [p for _, p in outcomes[j].record.plaintexts]
+            assert opened == (own if i == j else [None] * len(own))
 
 
 def test_host_compromise_key_fails_on_foreign_pair(ca_env):
@@ -215,30 +215,45 @@ def test_host_compromise_key_fails_on_foreign_pair(ca_env):
     carol = make_enrolled_party(registry, "carol", 60)
     dave = make_enrolled_party(registry, "dave", 61)
     own = run_session(alice, bob, None, ca_public_key=registry.public_key,
-                      seed=70, session_id=1).record
+                      seed=70, session_id=1)
     foreign = run_session(carol, dave, None, ca_public_key=registry.public_key,
-                          seed=71, session_id=2).record
-    report = host_compromise_probe([own, foreign], 0)
-    assert report.decrypt_success == [True, False]
+                          seed=71, session_id=2)
+    assert _opened_by_each_key([own, foreign]) == [
+        [[p for _, p in own.record.plaintexts], [None, None]],
+        [[None, None], [p for _, p in foreign.record.plaintexts]],
+    ]
 
 
 def test_host_compromise_single_session_trivially_decrypts_itself(ca_env):
     registry, alice, bob = ca_env
-    record = run_session(alice, bob, None, ca_public_key=registry.public_key,
-                         seed=80, session_id=1).record
-    report = host_compromise_probe([record], 0)
-    assert report.decrypt_success == [True]
-    assert report.exposes_only_compromised
+    outcome = run_session(alice, bob, None, ca_public_key=registry.public_key,
+                          seed=80, session_id=1)
+    opened = _opened_frames(outcome.record.key, outcome.transcript)
+    assert opened and opened == [p for _, p in outcome.record.plaintexts]
 
 
-def test_host_compromise_probe_validation(ca_env):
+def test_stolen_key_adds_what_it_opens_to_the_learned_state(ca_env):
+    # Dolev-Yao closure: a plaintext counts as learned once a stolen key
+    # opens a captured frame that carries it, and only then
     registry, alice, bob = ca_env
-    record = run_session(alice, bob, None, ca_public_key=registry.public_key,
-                         seed=81, session_id=1).record
-    with pytest.raises(SimulationError):
-        host_compromise_probe([], 0)
-    with pytest.raises(SimulationError):
-        host_compromise_probe([record, record], 5)
+    texts = [b"first session: the courier is late", b"second session: the vault code changed"]
+    adversary = AdversaryPolicy(AdversaryMode.PASSIVE)
+    outcomes = [
+        run_session(
+            alice, bob, adversary, ca_public_key=registry.public_key, seed=40,
+            session_id=sid, plaintexts=(("a->b", text),),
+        )
+        for sid, text in enumerate(texts, start=1)
+    ]
+    assert all(o.established and not o.attacker_learned_plaintext for o in outcomes)
+
+    adversary.stolen.append(bytes(32))  # a key of no session opens nothing
+    assert _opened_frames(bytes(32), adversary.captured) == [None, None]
+    assert adversary.learned([], texts) == (False, False)
+
+    adversary.stolen.append(outcomes[1].record.key)
+    assert adversary.learned([], [texts[1]]) == (False, True)
+    assert adversary.learned([], [texts[0]]) == (False, False)
 
 
 _TWO_LETTERS = bytes(b"ab"[c & 1] for c in range(256))
@@ -396,7 +411,7 @@ SCENARIO_LINES_SEED_1 = {
         "compromised=1",
         "decrypts_only_own_session=true",
         "attacker_learned_key=true",
-        "attacker_learned_plaintext=false",
+        "attacker_learned_plaintext=true",
         "failure_reason=none",
     ],
 }
@@ -410,7 +425,7 @@ def test_scenario_record_lines_pinned(mode):
 
 
 @pytest.mark.parametrize("mode, planted, learned_key, learned_plaintext", [
-    (AdversaryMode.HOST_COMPROMISE, b"", "true", "false"),
+    (AdversaryMode.HOST_COMPROMISE, b"", "true", "true"),
     (AdversaryMode.PASSIVE, b"alice", "false", "true"),
 ], ids=["host-compromise", "passive-planted"])
 def test_long_scenario_record_matches_knows(
