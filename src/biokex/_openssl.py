@@ -61,8 +61,13 @@ def libcrypto():
     return lib
 
 
+@functools.cache
 def sha256_kdf():
-    """``(ECDH_KDF_X9_62, EVP_sha256())`` from :func:`libcrypto`; None if either is missing."""
+    """``(ECDH_KDF_X9_62, EVP_sha256())`` from :func:`libcrypto`; None if either is missing.
+
+    Bound once, since binding sets ``argtypes`` on functions that threads
+    share; clear this cache with :func:`libcrypto`'s.
+    """
     try:
         kdf, sha256 = _bind(libcrypto(), _KDF_SIGNATURES)
     except AttributeError:  # also where libcrypto() is None

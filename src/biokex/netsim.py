@@ -2,8 +2,13 @@
 
 The channel is the only exchange point between parties: per-direction FIFO
 queues, an optional adversary interception hook, and a transcript of
-delivered frames. Everything is seeded and driven sequentially, so a
-scenario's outcome is exactly reproducible and independent of scheduling.
+delivered frames. Everything is seeded, and every frame is sent and
+delivered from the caller's thread in one fixed order. Only the two
+parties' key-pair derivations (``exchange_dh``) run side by side, as on two
+hosts (:func:`pipeline.side_by_side`): each reads only its own endpoint and
+the transformation key drawn for it before the split, and the initiator's
+failure is the one reported whenever it fails. So a scenario's outcome is
+exactly reproducible and independent of scheduling.
 
 Adversary modes:
 
@@ -46,6 +51,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from .ca import CaRegistry, Certificate, Identity, RsaKeyPair
 from .features import QuantizationConfig
 from .minutiae import SENSOR_HEIGHT, SENSOR_WIDTH, MinutiaeSet, synthesize_subject
+from .pipeline import side_by_side
 from .protocol import (
     MSG_CERT,
     MSG_DATA,
@@ -292,9 +298,12 @@ def run_session(
             channel.deliver(refusing)
             raise
 
-        # DH public values; an abort here sends no frame
-        channel.send("a->b", ep_a.exchange_dh())
-        channel.send("b->a", ep_b.exchange_dh())
+        # DH public values, each side deriving its pair from its own
+        # fingerprint and key; an abort here sends no frame, and a's is the
+        # one reported when both sides abort
+        pub_a, pub_b = side_by_side(ep_a.exchange_dh, ep_b.exchange_dh)
+        channel.send("a->b", pub_a)
+        channel.send("b->a", pub_b)
         sk_b = ep_b.establish(channel.deliver("a->b"))
         sk_a = ep_a.establish(channel.deliver("b->a"))
 

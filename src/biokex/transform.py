@@ -161,8 +161,13 @@ def _track(bits: np.ndarray, token: bytes) -> np.ndarray:
     """
     n = len(bits)
     j = _swap_targets(token, n).astype(np.int64)
-    # keys are unique, one per step; the sentinel n * n ends every search
-    keys = np.append(np.sort(j * n + np.arange(n)), n * n)
+    # keys are unique, one per step; the sentinel n * n ends every search.
+    # One array, sorted in place: two parties' derivations may run at once
+    keys = np.empty(n + 1, dtype=np.int64)
+    np.multiply(j, n, out=keys[:n])
+    keys[:n] += np.arange(n)
+    keys[:n].sort()
+    keys[n] = n * n
     out = np.zeros(n, dtype=np.uint8)
     x = np.flatnonzero(bits)
     s = np.zeros_like(x)

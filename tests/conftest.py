@@ -36,10 +36,12 @@ def without_openssl(monkeypatch):
     """Hide ``_hashlib`` so the OpenSSL binding fails: ``modexp`` falls back to
     ``pow`` and the index-stream digests to ``hashlib``."""
     _openssl.libcrypto.cache_clear()
+    _openssl.sha256_kdf.cache_clear()
     monkeypatch.setitem(sys.modules, "_hashlib", None)
     assert _openssl.libcrypto() is None
     yield
     _openssl.libcrypto.cache_clear()
+    _openssl.sha256_kdf.cache_clear()
 
 
 @pytest.fixture

@@ -129,6 +129,8 @@ def test_openssl_binding_resolves():
     assert [name for name, _, _ in signatures if not hasattr(lib, name)] == []
     assert _openssl.libcrypto() is not None
     assert _openssl.sha256_kdf() is not None
+    # bound once: rebinding would set argtypes on functions other threads call
+    assert _openssl.sha256_kdf() is _openssl.sha256_kdf()
 
 
 def test_missing_symbol_falls_back_to_pow(monkeypatch):

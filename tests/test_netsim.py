@@ -114,21 +114,34 @@ class _SwapResponderCertificate(AdversaryPolicy):
         return frame
 
 
-def _failing_initiator_and_adversary(alice, case):
+def _failing_parties(request, alice, bob, case):
+    """``(a, b, adversary)`` for one failure case."""
     if case == "mitm":
-        return alice, AdversaryPolicy(AdversaryMode.MITM, attacker_certificate=_mallory_certificate())
+        return alice, bob, AdversaryPolicy(
+            AdversaryMode.MITM, attacker_certificate=_mallory_certificate()
+        )
     if case == "responder_cert_swap":
-        return alice, _SwapResponderCertificate(attacker_certificate=_mallory_certificate())
-    # all of alice's minutiae at one position: every pair is degenerate
+        return alice, bob, _SwapResponderCertificate(attacker_certificate=_mallory_certificate())
+    # all of a party's minutiae at one position: every pair is degenerate
     stub = MinutiaeSet("stub", 0, 10, 10, (Minutia(5, 5, 0.0), Minutia(5, 5, 180.0)))
-    return dataclasses.replace(alice, fingerprint=stub), None
+    if case == "coincident_minutiae":
+        return dataclasses.replace(alice, fingerprint=stub), bob, None
+    if case == "both_abort":
+        # the responder fails on its features, quickly, and the initiator
+        # later on its public-value modexp
+        request.getfixturevalue("fail_modexp")()
+    return alice, dataclasses.replace(bob, fingerprint=stub), None
 
 
-# pinned when certificates became Ed25519; only the certificate frames moved
+# pinned when certificates became Ed25519; only the certificate frames moved.
+# A failure in the DH phase leaves the two certificate frames alone
+_CERTIFICATES_ONLY = "268eb0216b1035e41a83d9f8da35d4da84f8f1276db1a53df5d1a9849f984c51"
 FAILURE_TRANSCRIPT_SHA256 = {
     "mitm": "b7e81d1a1fe6bea2308063d4b741af7f1388bf0782d695ddc05140be1d760438",
     "responder_cert_swap": "68509755818139110c1067311ee894f30a40a9926d7db7e78b723f215d9c434d",
-    "coincident_minutiae": "268eb0216b1035e41a83d9f8da35d4da84f8f1276db1a53df5d1a9849f984c51",
+    "coincident_minutiae": _CERTIFICATES_ONLY,
+    "responder_coincident_minutiae": _CERTIFICATES_ONLY,
+    "both_abort": _CERTIFICATES_ONLY,
 }
 
 
@@ -138,14 +151,17 @@ FAILURE_TRANSCRIPT_SHA256 = {
         ("mitm", 2, AbortReason.CERT_VERIFICATION),
         ("responder_cert_swap", 3, AbortReason.CERT_VERIFICATION),
         ("coincident_minutiae", 2, AbortReason.FEATURE_EXTRACTION),
+        ("responder_coincident_minutiae", 2, AbortReason.FEATURE_EXTRACTION),
+        # the two sides derive their pairs at once; a's reason is reported
+        ("both_abort", 2, AbortReason.KEY_AGREEMENT),
     ],
     ids=list(FAILURE_TRANSCRIPT_SHA256),
 )
-def test_failure_transcripts_pinned(ca_env, case, frames, reason):
+def test_failure_transcripts_pinned(request, ca_env, case, frames, reason):
     # a refused certificate still sends the refusing side's abort frame in its
     # own direction; a failure in the DH phase sends none
     registry, alice, bob = ca_env
-    alice, adversary = _failing_initiator_and_adversary(alice, case)
+    alice, bob, adversary = _failing_parties(request, alice, bob, case)
     outcome = run_session(
         alice, bob, adversary, ca_public_key=registry.public_key, seed=3, session_id=1
     )

@@ -188,6 +188,7 @@ def test_missing_kdf_keeps_the_bignum_binding(monkeypatch):
             return fn
 
     _openssl.libcrypto.cache_clear()
+    _openssl.sha256_kdf.cache_clear()
     monkeypatch.setattr(_openssl.ctypes, "CDLL", NoKdf)
     try:
         assert _openssl.libcrypto() is not None
@@ -198,6 +199,7 @@ def test_missing_kdf_keeps_the_bignum_binding(monkeypatch):
         assert exponentiations
     finally:
         _openssl.libcrypto.cache_clear()
+        _openssl.sha256_kdf.cache_clear()
 
 
 def test_arrangement_frozen_reference_through_hashlib_fallback(without_openssl):
