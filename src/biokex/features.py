@@ -165,11 +165,14 @@ def pair_triplet(
 
 @functools.lru_cache(maxsize=8)
 def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``triu_indices(n, k=1)``: every (i, j) with i < j in row order."""
-    i_idx, j_idx = np.triu_indices(n, k=1)
-    i_idx.setflags(write=False)
+    """Every pair (i, j) with i < j in row order, as read-only ``(j_idx,
+    runs)``: j_idx is ``triu_indices(n, k=1)[1]`` and ``runs[i] = n - 1 - i``,
+    so ``np.repeat(v, runs)`` is ``v[triu_indices(n, k=1)[0]]``."""
+    j_idx = np.triu_indices(n, k=1)[1]
+    runs = np.arange(n - 1, -1, -1)
     j_idx.setflags(write=False)
-    return i_idx, j_idx
+    runs.setflags(write=False)
+    return j_idx, runs
 
 
 def _wrap360(v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -181,9 +184,9 @@ def _wrap360(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     Adding 0.0 elsewhere turns -0.0 into the remainder's +0.0, so every
     result is bit for bit ``v % 360.0``.
     """
-    np.subtract(v < 0.0, v >= 360.0, out=out, dtype=np.float64)
-    out *= 360.0
-    return np.add(v, out, out=out)
+    # the int8 views keep the comparisons out of a bool-to-float cast
+    steps = np.subtract((v < 0.0).view(np.int8), (v >= 360.0).view(np.int8))
+    return np.add(v, np.multiply(steps, 360.0, out=out), out=out)
 
 
 def extract_features(mset: MinutiaeSet, cfg: QuantizationConfig) -> FeatureBitString:
@@ -195,26 +198,26 @@ def extract_features(mset: MinutiaeSet, cfg: QuantizationConfig) -> FeatureBitSt
 
     The x, y and theta columns are the rows of the set's ``points`` array.
     Radians, cosine and sine are computed once per minutia and gathered per
-    pair. The projection, alpha and beta keep :func:`pair_triplet`'s operands
-    and order, computed in place in five pair-length buffers. L is binned
-    from ``sqrt(x*x + y*y)``, which lies within a few ulps of ``hypot(x, y)``;
-    where the quotient by the bin width is within 1e-9 (relative) of an
-    integer, or not finite, L is recomputed with ``hypot``, so every L bin is
-    the one ``hypot`` gives.
+    pair: the j side by index, the i side by run length (``np.repeat``, as
+    the pairs come in row order). The projection, alpha and beta keep
+    :func:`pair_triplet`'s operands and order, computed in place in
+    pair-length buffers. L is binned from ``sqrt(x*x + y*y)``, which lies
+    within a few ulps of ``hypot(x, y)``; where the quotient by the bin width
+    is within 1e-9 (relative) of an integer, or not finite, L is recomputed
+    with ``hypot``, so every L bin is the one ``hypot`` gives.
     """
     xs, ys, th = mset.points
     n = len(xs)
     rad = np.radians(th)
     cos_t, sin_t = np.cos(rad), np.sin(rad)
 
-    i_idx, j_idx = _pair_indices(n)
-    x, y, c, s, w = np.empty((5, len(i_idx)))
+    j_idx, runs = _pair_indices(n)
+    x, y, w = np.empty((3, len(j_idx)))
     # the indices are in range; mode "clip" lets take write straight into out
-    np.subtract(xs.take(j_idx, out=x, mode="clip"), xs.take(i_idx, out=c, mode="clip"), out=x)
-    np.subtract(ys.take(j_idx, out=y, mode="clip"), ys.take(i_idx, out=c, mode="clip"), out=y)
+    np.subtract(xs.take(j_idx, out=x, mode="clip"), np.repeat(xs, runs), out=x)
+    np.subtract(ys.take(j_idx, out=y, mode="clip"), np.repeat(ys, runs), out=y)
     # now x, y hold dx, dy; project them into minutia i's frame
-    cos_t.take(i_idx, out=c, mode="clip")
-    sin_t.take(i_idx, out=s, mode="clip")
+    c, s, th_i = (np.repeat(v, runs) for v in (cos_t, sin_t, th))
     np.multiply(x, s, out=w)
     x *= c
     s *= y
@@ -229,7 +232,7 @@ def extract_features(mset: MinutiaeSet, cfg: QuantizationConfig) -> FeatureBitSt
         valid = ~degenerate
         if not valid.any():
             raise FeatureError("no valid pair vectors: all pairs coincident")
-        x, y, i_idx, j_idx = x[valid], y[valid], i_idx[valid], j_idx[valid]
+        x, y, th_i, j_idx = x[valid], y[valid], th_i[valid], j_idx[valid]
     a, b, c = (f[: len(x)] for f in free)
 
     l_bins = 1 << cfg.n_l
@@ -249,20 +252,22 @@ def extract_features(mset: MinutiaeSet, cfg: QuantizationConfig) -> FeatureBitSt
         near = ~(b > np.multiply(a, 1e-9, out=c))
         if near.any():
             a[near] = np.hypot(x[near], y[near]) / l_width
-    l_bin = np.minimum(a, l_bins - 1, out=a).astype(np.int32)
+    # intp codes index the bit string without a conversion
+    l_bin = np.minimum(a, l_bins - 1, out=a).astype(np.intp)
 
-    alpha = _wrap360(np.degrees(np.arctan2(y, x, out=b), out=b), out=a)
+    # np.degrees multiplies by 180/pi, as math.degrees does, in a slower loop
+    alpha = _wrap360(np.multiply(np.arctan2(y, x, out=b), 180.0 / math.pi, out=b), out=a)
     alpha[alpha >= 360.0] = 0.0
     beta = np.add(alpha, th.take(j_idx, out=b, mode="clip"), out=b)
-    beta -= th.take(i_idx, out=c, mode="clip")
+    beta -= th_i
     beta = _wrap360(beta, out=c)
     beta[beta >= 360.0] = 0.0
 
     alpha /= 360.0 / a_bins
     beta /= 360.0 / b_bins
     codes = l_bin << (cfg.n_alpha + cfg.n_beta)
-    codes |= np.minimum(alpha, a_bins - 1, out=alpha).astype(np.int32) << cfg.n_beta
-    codes |= np.minimum(beta, b_bins - 1, out=beta).astype(np.int32)
+    codes |= np.minimum(alpha, a_bins - 1, out=alpha).astype(np.intp) << cfg.n_beta
+    codes |= np.minimum(beta, b_bins - 1, out=beta).astype(np.intp)
 
     bits = np.zeros(1 << cfg.n_p, dtype=np.uint8)
     bits[codes] = 1

@@ -8,14 +8,15 @@ image processing is out of scope. The text format is the ingestion boundary:
     lines starting "#" are ignored; encoding is UTF-8 with LF line endings.
 
 Angles are degrees, normalized into [0, 360) at parse time. Widths, heights
-and coordinates are at most ``MAX_COORDINATE`` (2**31 - 1). A
-:class:`MinutiaeSet` holds its minutiae as one read-only (3, n) float64
-array, validated once on construction. Parsing, synthesis and perturbation
-hand it plain tuples or an array, so no per-minutia object exists on the
-evaluation path. :class:`Minutia`, a validated ``(x, y, theta)`` named
-tuple, is the element type of ``MinutiaeSet.minutiae``, built on demand. All
-types are immutable after construction and every operation here is a pure
-function, so concurrent use needs no locking.
+and coordinates are at most ``MAX_COORDINATE`` (2**31 - 1), and a set holds
+at most ``MAX_MINUTIAE`` (1024) minutiae. A :class:`MinutiaeSet` holds its
+minutiae as one read-only (3, n) float64 array, validated once on
+construction. Parsing, synthesis and perturbation hand it plain tuples or an
+array, so no per-minutia object exists on the evaluation path.
+:class:`Minutia`, a validated ``(x, y, theta)`` named tuple, is the element
+type of ``MinutiaeSet.minutiae``, built on demand. All types are immutable
+after construction and every operation here is a pure function, so
+concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 __all__ = [
     "MAX_COORDINATE",
+    "MAX_MINUTIAE",
     "SENSOR_WIDTH",
     "SENSOR_HEIGHT",
     "Minutia",
@@ -54,6 +56,11 @@ SENSOR_WIDTH, SENSOR_HEIGHT = 388, 374
 # Largest accepted image width, height and coordinate. Keeps every coordinate
 # difference exact in float64 and every pair length far from overflow.
 MAX_COORDINATE = 2**31 - 1
+
+# Largest accepted number of minutiae in one set. ISO/IEC 19794-2 stores the
+# count in one byte (at most 255); the cap keeps the n(n-1)/2 pairs of
+# feature extraction small.
+MAX_MINUTIAE = 1024
 
 
 class MinutiaeError(ValueError):
@@ -122,8 +129,15 @@ def _check_seed(seed, name: str) -> None:
 
 def _repeats(pts: np.ndarray) -> np.ndarray:
     """Indices of the columns of a (3, n) array equal to an earlier one (as
-    tuples: 0.0 equals -0.0). The stable lexsort keeps equal columns in
-    source order, so the first of each run is the first occurrence."""
+    tuples: 0.0 equals -0.0).
+
+    Two equal columns have equal angles, so when one sort of the theta row
+    finds no tie there is no repeat. Otherwise a stable lexsort keeps equal
+    columns in source order, so the first of each run is the first occurrence.
+    """
+    t = np.sort(pts[2])
+    if not (t[1:] == t[:-1]).any():
+        return np.empty(0, dtype=np.intp)
     order = np.lexsort(pts[::-1])
     ordered = pts.take(order, axis=1)
     eq = ordered[:, 1:] == ordered[:, :-1]
@@ -136,9 +150,10 @@ def _checked_points(minutiae, width: int, height: int) -> np.ndarray:
     ``minutiae`` is a (3, n) array or a sequence of :class:`Minutia` or
     (x, y, theta) triples. Each column is coerced and checked as
     ``Minutia(x, y, theta)`` would be, then the set as a whole: image size,
-    at least two minutiae, every minutia inside the image, no duplicates.
-    An input that breaks several rules raises for the first in that order,
-    and within a rule for the first offending minutia in source order.
+    at least two and at most ``MAX_MINUTIAE`` minutiae, every minutia inside
+    the image, no duplicates. An input that breaks several rules raises for
+    the first in that order, and within a rule for the first offending
+    minutia in source order.
     """
     if isinstance(minutiae, np.ndarray):
         pts = np.array(minutiae, dtype=np.float64, order="C")
@@ -170,6 +185,8 @@ def _checked_points(minutiae, width: int, height: int) -> np.ndarray:
     n = pts.shape[1]
     if n < 2:
         raise InsufficientMinutiaeError(f"insufficient minutiae: found {n}, need at least 2")
+    if n > MAX_MINUTIAE:
+        raise MinutiaeError(f"too many minutiae: found {n}, at most {MAX_MINUTIAE}")
     repeats = _repeats(pts)
     if x_hi > width or y_hi > height or len(repeats):
         outside = (xy[0] > width) | (xy[1] > height)
@@ -191,9 +208,10 @@ class MinutiaeSet:
     per-minutia object is kept. The constructor takes that array or a
     sequence of :class:`Minutia` or (x, y, theta) triples, and validates it
     once: a valid image size, at least two minutiae (otherwise no pair vector
-    exists), each inside the image, and no exact duplicates (as tuples, so
-    0.0 equals -0.0). ``minutiae`` builds the tuple of :class:`Minutia` on
-    demand. Two sets are equal when their metadata and minutiae are.
+    exists) and at most ``MAX_MINUTIAE``, each inside the image, and no exact
+    duplicates (as tuples, so 0.0 equals -0.0). ``minutiae`` builds the tuple
+    of :class:`Minutia` on demand. Two sets are equal when their metadata and
+    minutiae are.
     """
 
     subject_id: str
@@ -308,6 +326,8 @@ def parse_minutiae_file(
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
+        if len(minutiae) == MAX_MINUTIAE:
+            raise MinutiaeParseError(lineno, f"too many minutiae: at most {MAX_MINUTIAE}")
         fields = stripped.split()
         if len(fields) != 3:
             raise MinutiaeParseError(lineno, f"expected '<x> <y> <theta>', got {raw!r}")
@@ -349,24 +369,73 @@ def synthesize_subject(
     Pure function of its arguments: the same seed always yields the same set.
     Coordinates are drawn from [0, width] x [0, height] inclusive, angles
     uniform over [0, 360). Arguments are checked before the first draw.
+
+    The set is the one :func:`_draw_unique` draws from a fresh generator on
+    ``seed``. It is read from one block of the generator's raw 64-bit words
+    when that reproduces the draw, as it nearly always does; otherwise
+    :func:`_draw_unique` runs from a fresh generator on the same seed.
     """
     if n_minutiae < 2:
         raise InsufficientMinutiaeError(
             f"insufficient minutiae: requested {n_minutiae}, need at least 2"
         )
+    if n_minutiae > MAX_MINUTIAE:
+        raise MinutiaeError(f"too many minutiae: requested {n_minutiae}, at most {MAX_MINUTIAE}")
     _check_image_size(width, height)
     _check_seed(seed, "seed")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    minutiae = _draw_unique(rng, n_minutiae, width, height, set())
+    minutiae = _drawn_at_once(
+        np.random.default_rng(np.random.SeedSequence(seed)), n_minutiae, width, height
+    )
+    if minutiae is None:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        minutiae = _draw_unique(rng, n_minutiae, width, height, set())
     sid = subject_id if subject_id is not None else f"synth-{seed}"
     return MinutiaeSet(sid, 0, width, height, minutiae)
+
+
+def _drawn_at_once(
+    rng: np.random.Generator, count: int, width: int, height: int
+) -> np.ndarray | None:
+    """``_draw_unique(rng, count, width, height, set())`` as a (3, count)
+    array, read from ``2 * count`` raw words of a fresh PCG64 ``rng``; None
+    where that call would draw a word more.
+
+    Per minutia, ``_draw_unique`` reads two words. ``integers(0, w,
+    endpoint=True)`` with w < 2**32 - 1 takes PCG64's next 32 bits (the low
+    half of a new word, then its high half) and returns the high 32 bits of
+    ``bits * (w + 1)`` (Lemire's method), so x comes from the low and y from
+    the high half of the even word. ``uniform(0, 360)`` returns
+    ``360 * ((word >> 11) * 2**-53)`` of the odd word, at most
+    359.99999999999994, which :func:`normalize_degrees` keeps. Lemire's
+    method draws again when the low 32 bits of the product fall below
+    ``2**32 % (w + 1)``, and ``_draw_unique`` when a minutia repeats; then
+    this returns None.
+    """
+    words = rng.bit_generator.random_raw(2 * count)
+    even = words[0::2]
+    spans = np.array([[width + 1], [height + 1]], dtype=np.uint64)
+    products = np.stack((even & 0xFFFFFFFF, even >> 32)) * spans
+    if ((products & 0xFFFFFFFF) < 2**32 % spans).any():
+        return None
+    pts = np.empty((3, count))
+    pts[:2] = products >> 32
+    np.multiply(words[1::2] >> 11, 2**-53, out=pts[2])
+    pts[2] *= 360.0
+    return None if len(_repeats(pts)) else pts
 
 
 def _draw_unique(
     rng: np.random.Generator, count: int, width: int, height: int, seen: set
 ) -> list[tuple[int, int, float]]:
     """``count`` minutiae, each drawn as x, y, then angle, and drawn again
-    while it repeats one in ``seen``; ``seen`` gains every one returned."""
+    while it repeats one in ``seen``; ``seen`` gains every one returned.
+
+    This is the stream that :func:`synthesize_subject` keeps: per minutia,
+    ``integers(0, width, endpoint=True)``, ``integers(0, height,
+    endpoint=True)`` and ``uniform(0.0, 360.0)``, scalar calls in that order.
+    :func:`_drawn_at_once` reproduces it for a fresh generator; the spurious
+    minutiae of :func:`perturb` come from a generator already in use, so
+    they are always drawn here."""
     drawn: list[tuple[int, int, float]] = []
     while len(drawn) < count:
         m = (

@@ -128,6 +128,7 @@ class Phase(enum.Enum):
     PUBKEY_SENT = "pubkey_sent"
     ESTABLISHED = "established"
     FAILED = "failed"
+    CLOSED = "closed"
 
 
 class AbortReason(enum.IntEnum):
@@ -192,7 +193,8 @@ class SessionEndpoint:
     ``seal`` makes data frames and ``open`` reads them. Private key material
     lives only in memory. ``close`` drops this endpoint's references to the
     DH private key and to the AES-GCM context keyed by the session key, and
-    leaves the endpoint unusable; it cannot wipe them, because CPython
+    leaves the endpoint unusable in phase ``CLOSED`` (or ``FAILED``, if it had
+    failed); it cannot wipe them, because CPython
     ``bytes`` are immutable and the :class:`SessionKey` returned by
     ``establish`` stays with the caller.
     """
@@ -330,10 +332,13 @@ class SessionEndpoint:
     # -- teardown ------------------------------------------------------------
 
     def close(self) -> None:
-        """Drop the key material and end the session; idempotent."""
+        """Drop the key material and end the session; idempotent. The phase
+        becomes ``CLOSED``, except that a failed endpoint stays ``FAILED``
+        and keeps its ``abort_reason``."""
         self._aead = None
         self._private_key = None
-        self.state.phase = Phase.FAILED
+        if self.state.phase is not Phase.FAILED:
+            self.state.phase = Phase.CLOSED
 
     # -- helpers ---------------------------------------------------------------
 

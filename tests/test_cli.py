@@ -193,6 +193,23 @@ def test_keygen_rejects_oversized_coordinates(tmp_path, header, row):
     assert "line" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["keygen", "--minutiae", "1025", "--seed", "3"],
+    ["keygen", "--minutiae-file", "many.txt", "--seed", "3"],
+    ["eval", "--synthetic", "--subjects", "2", "--impressions", "2", "--minutiae", "1025",
+     "--out", "roc.csv"],
+])
+def test_more_minutiae_than_a_set_holds_is_a_data_error(tmp_path, argv):
+    (tmp_path / "many.txt").write_bytes(b"2000 10\n" + b"".join(
+        b"%d 5 10\n" % k for k in range(1025)
+    ))
+    proc = run_cli(argv, tmp_path)
+    assert proc.returncode == EXIT_DATA == 3, proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "too many minutiae" in proc.stderr and "at most 1024" in proc.stderr
+    assert proc.stdout == "" and not (tmp_path / "roc.csv").exists()
+
+
 @pytest.mark.parametrize("lmax", ["nan", "inf"])
 def test_keygen_rejects_non_finite_lmax(tmp_path, lmax):
     proc = run_cli(["keygen", "--seed", "3", "--lmax", lmax], tmp_path)

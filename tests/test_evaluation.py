@@ -293,6 +293,29 @@ EVAL_PINS = {
 }
 
 
+# SHA-256 of roc.csv and of the summary file for the benchmark's gallery
+# shape (190 minutiae, 8 impressions, 5% drop) on 12 subjects at seed 11,
+# written by the scalar synthesis draws and the index-gathered pair features
+BENCH_SHAPE_PINS = {
+    "roc.csv": "9a789aff1880ab1ecc256ab2498b0634a6e44f6ef5539df7e596ab37653e3dac",
+    "summary.txt": "1ee9ddd37c5457460081c842869487121c1ebd572e60c1f14eeaacad766f490d",
+}
+
+
+def test_eval_benchmark_shape_frozen_reference(tmp_path, capsys):
+    rc = cli.dispatch([
+        "eval", "--synthetic", "--subjects", "12", "--impressions", "8", "--minutiae", "190",
+        "--drop-rate", "0.05", "--seed", "11",
+        "--out", str(tmp_path / "roc.csv"), "--summary-out", str(tmp_path / "summary.txt"),
+    ])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith(
+        "genuine_mean=0.7250 impostor_mean=0.6566 separation=0.0684 eer=0.0000\n"
+    )
+    for name, digest in BENCH_SHAPE_PINS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_eval_outputs_frozen_reference(tmp_path, capsys):
     # noisy enough that the two score distributions overlap (EER 0.25)
     rc = cli.dispatch([

@@ -81,8 +81,10 @@ def test_pair_vector_direction_matters():
 
 @pytest.mark.parametrize("n, expected", [(2, 1), (8, 28), (100, 4950)])
 def test_all_pair_vectors_count(n, expected):
-    i_idx, j_idx = _pair_indices(n)
-    assert len(i_idx) == expected
+    j_idx, runs = _pair_indices(n)
+    assert len(j_idx) == expected
+    assert runs.tolist() == list(range(n - 1, -1, -1))
+    i_idx = np.repeat(np.arange(n), runs)
     assert list(zip(i_idx.tolist(), j_idx.tolist())) == list(itertools.combinations(range(n), 2))
 
 

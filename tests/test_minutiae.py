@@ -5,11 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from biokex.features import QuantizationConfig, extract_features
 from biokex.minutiae import (
     MAX_COORDINATE,
+    MAX_MINUTIAE,
     InsufficientMinutiaeError,
     Minutia,
     MinutiaeError,
@@ -22,6 +23,9 @@ from biokex.minutiae import (
     serialize_minutiae,
     synthesize_dataset,
     synthesize_subject,
+    _draw_unique,
+    _drawn_at_once,
+    _repeats,
 )
 
 SIMPLE_FILE = b"388 374\n100 100 0\n103 104 90\n"
@@ -216,6 +220,8 @@ def checked_per_minutia(width, height, rows):
         raise InsufficientMinutiaeError(
             f"insufficient minutiae: found {len(minutiae)}, need at least 2"
         )
+    if len(minutiae) > MAX_MINUTIAE:
+        raise MinutiaeError(f"too many minutiae: found {len(minutiae)}, at most {MAX_MINUTIAE}")
     seen = set()
     for m in minutiae:
         if m.x > width or m.y > height:
@@ -360,6 +366,108 @@ def test_synthesize_subject_checks_image_before_drawing(monkeypatch, width, heig
     monkeypatch.setattr(np.random, "default_rng", no_draws)
     with pytest.raises(MinutiaeError, match=fragment):
         synthesize_subject(30, width, height, seed=1)
+
+
+def test_minutiae_cap_holds_for_sets_and_synthesis(monkeypatch):
+    cols = np.zeros((3, MAX_MINUTIAE + 1))
+    cols[0] = np.arange(MAX_MINUTIAE + 1)
+    assert len(MinutiaeSet("s", 0, 2000, 10, cols[:, :MAX_MINUTIAE])) == MAX_MINUTIAE
+    with pytest.raises(MinutiaeError, match=f"too many minutiae: found {MAX_MINUTIAE + 1}, at most"):
+        MinutiaeSet("s", 0, 2000, 10, cols)
+    with pytest.raises(MinutiaeError, match="too many minutiae"):
+        MinutiaeSet("s", 0, 2000, 10, list(zip(*cols.tolist())))
+    assert len(synthesize_subject(MAX_MINUTIAE, 388, 374, seed=1)) == MAX_MINUTIAE
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before checking the minutiae count")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(MinutiaeError, match=f"requested {MAX_MINUTIAE + 1}, at most {MAX_MINUTIAE}"):
+        synthesize_subject(MAX_MINUTIAE + 1, 388, 374, seed=1)
+
+
+def test_parse_names_the_first_line_past_the_cap():
+    rows = [b"%d %d 0" % (k % 1000, k // 1000) for k in range(MAX_MINUTIAE + 1)]
+    data = b"1000 10\n# comment\n" + b"\n".join(rows) + b"\n"
+    with pytest.raises(MinutiaeParseError, match="too many minutiae") as exc:
+        parse_minutiae_file(data)
+    assert exc.value.line == MAX_MINUTIAE + 3
+    assert len(parse_minutiae_file(data.rsplit(b"\n", 2)[0] + b"\n")) == MAX_MINUTIAE
+
+
+def fresh_rng(seed):
+    return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+def drawn_one_by_one(seed, n, width, height):
+    return np.array(_draw_unique(fresh_rng(seed), n, width, height, set()), dtype=np.float64).T
+
+
+@pytest.mark.parametrize("n", [2, 16, 30, 190])
+@pytest.mark.parametrize("width, height", [(388, 374), (1, 1), (MAX_COORDINATE, 5000)])
+def test_one_pass_draw_equals_scalar_draws(n, width, height):
+    for seed in range(0, 2**64, 2**64 // 40 + 12345):
+        at_once = _drawn_at_once(fresh_rng(seed), n, width, height)
+        assert at_once is not None
+        assert at_once.tolist() == drawn_one_by_one(seed, n, width, height).tolist()
+        assert synthesize_subject(n, width, height, seed).points.tolist() == at_once.tolist()
+
+
+def test_lemire_rejection_reruns_scalar_draws():
+    # 2**32 % 1431655766 = 1431655764: about a third of x draws land in
+    # Lemire's rejection zone and draw again
+    width = 1431655765
+    for seed in range(20):
+        assert _drawn_at_once(fresh_rng(seed), 16, width, 374) is None
+        expected = drawn_one_by_one(seed, 16, width, 374)
+        assert synthesize_subject(16, width, 374, seed).points.tolist() == expected.tolist()
+
+
+class RawWords:
+    """Stands in for a generator whose raw stream is ``words``."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = words
+
+    def random_raw(self, size):
+        return self.words[:size].copy()
+
+
+def test_repeated_minutia_reruns_scalar_draws(monkeypatch):
+    words = np.random.PCG64(np.random.SeedSequence(4)).random_raw(60)
+    words[4:6] = words[0:2]  # minutia 2 repeats minutia 0
+    assert _drawn_at_once(RawWords(words), 30, 388, 374) is None
+    expected = drawn_one_by_one(4, 30, 388, 374).tolist()
+    handed = iter([RawWords(words), fresh_rng(4)])
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: next(handed))
+    assert synthesize_subject(30, 388, 374, seed=4).points.tolist() == expected
+
+
+def repeats_per_column(pts):
+    """Indices of the columns equal, as tuples, to an earlier one."""
+    seen, found = set(), []
+    for k, col in enumerate(zip(*pts.tolist())):
+        if col in seen:
+            found.append(k)
+        seen.add(col)
+    return found
+
+
+@given(st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from([0.0, -0.0, 90.0, 359.0])),
+    min_size=1, max_size=30,
+))
+# integer-degree angles tie without a repeat, then repeat apart
+@example([(1, 2, 90.0), (3, 4, 90.0), (2, 1, 90.0), (5, 5, 0.0), (1, 2, 90.0), (3, 4, 90.0)])
+# 0.0 equals -0.0
+@example([(1, 1, 0.0), (2, 2, -0.0), (1, 1, -0.0), (2, 2, 0.0)])
+# equal columns far apart, distinct angles between them
+@example([(7, 7, 10.0), (8, 8, 20.0), (9, 9, 30.0), (6, 6, 40.0), (7, 7, 10.0)])
+@example([(1, 1, 45.5), (2, 1, 135.25)])
+def test_repeats_matches_per_column_set(cols):
+    pts = np.array(cols, dtype=np.float64).T
+    assert sorted(_repeats(pts).tolist()) == repeats_per_column(pts)
 
 
 def test_synthesize_deterministic():

@@ -267,12 +267,31 @@ def test_nonce_uniqueness_over_session_trace(ca_env):
 
 
 def test_close_drops_session_key_and_is_idempotent(ca_env):
-    a, _, _, _ = _handshake(ca_env)
+    a, b, _, _ = _handshake(ca_env)
+    sealed = b.seal(b"before close")
     a.close()
     assert a._aead is None and a._private_key is None
+    assert (a.state.phase, a.state.abort_reason) == (Phase.CLOSED, None)
     a.close()
-    with pytest.raises(ProtocolStateError):
+    assert (a.state.phase, a.state.abort_reason) == (Phase.CLOSED, None)
+    with pytest.raises(ProtocolStateError, match="seal in phase closed"):
         a.seal(b"after close")
+    with pytest.raises(ProtocolStateError, match="open in phase closed"):
+        a.open(sealed)
+
+
+def test_close_after_abort_keeps_failure(ca_env):
+    rogue = CaRegistry(RsaKeyPair.generate(9999)).enroll(
+        Identity("mallory"), RsaKeyPair.generate(9998).public_der
+    )
+    b = _endpoint(ca_env, "bob", initiator=False)
+    with pytest.raises(HandshakeAborted):
+        b.on_peer_certificate(WireMessage(MSG_CERT, rogue.encode()))
+    b.close()
+    b.close()
+    assert (b.state.phase, b.state.abort_reason) == (Phase.FAILED, AbortReason.CERT_VERIFICATION)
+    with pytest.raises(ProtocolStateError, match="seal in phase failed"):
+        b.seal(b"after close")
 
 
 def test_open_rejects_malformed_data_frames(ca_env):
