@@ -462,15 +462,24 @@ def perturb(mset: MinutiaeSet, profile: PerturbationProfile) -> MinutiaeSet:
     choice, then one scalar (x, y, angle) draw per spurious minutia. Positions
     round half to even (as ``round``) and clip to the image; angles reduce as
     :func:`normalize_degrees` does. Positional rounding can collide two
-    survivors; the first occurrence is kept.
+    survivors; the first occurrence is kept. A profile under which more than
+    ``MAX_MINUTIAE`` would remain, counted before such collisions are
+    removed, raises :class:`MinutiaeError` before the first draw.
     """
     return replace(mset, minutiae=_perturbed_points(mset, profile))
 
 
 def _perturbed_points(mset: MinutiaeSet, profile: PerturbationProfile) -> np.ndarray:
     """The (3, n) minutiae array of ``perturb(mset, profile)``, not yet a set."""
-    rng = np.random.default_rng(np.random.SeedSequence(profile.rng_seed))
     n = len(mset)
+    n_drop = int(round(profile.drop_rate * n))
+    n_spurious = int(round(profile.spurious_rate * n))
+    kept = n - n_drop + n_spurious
+    if kept > MAX_MINUTIAE:
+        raise MinutiaeError(
+            f"too many minutiae: perturbation leaves {kept}, at most {MAX_MINUTIAE}"
+        )
+    rng = np.random.default_rng(np.random.SeedSequence(profile.rng_seed))
     xs, ys, thetas = mset.points
 
     dx = rng.normal(0.0, profile.translation_sigma, size=n)
@@ -485,13 +494,11 @@ def _perturbed_points(mset: MinutiaeSet, profile: PerturbationProfile) -> np.nda
     # fmod of a tiny negative can round up to exactly 360.0
     thetas[thetas >= 360.0] = 0.0
 
-    n_drop = int(round(profile.drop_rate * n))
     if n_drop:
         keep = np.ones(n, dtype=bool)
         keep[rng.choice(n, size=n_drop, replace=False)] = False
         pts = pts[:, keep]
 
-    n_spurious = int(round(profile.spurious_rate * n))
     if n_spurious:
         spurious = _draw_unique(rng, n_spurious, mset.width, mset.height, set(zip(*pts.tolist())))
         pts = np.concatenate((pts, np.array(spurious, dtype=np.float64).T), axis=1)

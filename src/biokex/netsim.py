@@ -22,14 +22,13 @@ Adversary modes:
 
 The endpoints alone verify certificates; the simulator checks none itself.
 
-"Attacker learned X" is operationalized as: the bytes of X occur in the
-adversary's stored state, or in what a key it stole opens of its captured
-data frames. That is a falsifiable predicate, not an information-theoretic
-claim. The one check, ``AdversaryPolicy.learned``, takes one snapshot of
-that state and tests every plaintext against it in one pass: an exact
-filter on the snapshot's aligned 8-byte words, then the substring search
-for the plaintexts the filter cannot rule out. The filter never changes
-the answer, only how many full scans it takes.
+"Attacker learned X" is operationalized as: the bytes of X occur in what
+the adversary can read, which is the clear frames it captured
+(certificates, DH values, aborts), the keys it stole, and what those keys
+open of its captured data frames. A ciphertext is opaque without its key
+(Dolev-Yao), so ciphertext bytes are not knowledge: a plaintext that occurs
+only inside them is not learned. That is a falsifiable predicate, not an
+information-theoretic claim; ``AdversaryPolicy.learned`` is the one check.
 
 Biometric data never enters any persisted or captured state; an adversary
 resident in a host's memory during capture is outside this model.
@@ -119,17 +118,18 @@ class AdversaryPolicy:
         return frame
 
     def state_blob(self) -> bytes:
-        """Captured frames, stolen keys, then what each stolen key opens."""
+        """Captured clear frames, stolen keys, then what each stolen key opens."""
+        clear = [f for _, f in self.captured if WireMessage.decode(f).msg_type != MSG_DATA]
         opened = [p for k in self.stolen for p in _opened_frames(k, self.captured) if p is not None]
-        return b"".join(f for _, f in self.captured) + b"".join(self.stolen) + b"".join(opened)
+        return b"".join(clear) + b"".join(self.stolen) + b"".join(opened)
 
     def knows(self, material: bytes) -> bool:
         return material in self.state_blob()
 
     def learned(self, keys: list[bytes], plaintexts: list[bytes]) -> tuple[bool, bool]:
-        """Whether any key, and any plaintext, occurs in one snapshot of the stored state."""
+        """Whether any key, and any plaintext, occurs in one snapshot of what it can read."""
         blob = self.state_blob()
-        return any(k in blob for k in keys), _occurs_any(plaintexts, blob)
+        return any(k in blob for k in keys), any(p in blob for p in plaintexts)
 
 
 def _opened_frames(key: bytes, frames: list[tuple[str, bytes]]) -> list[bytes | None]:
@@ -145,29 +145,6 @@ def _opened_frames(key: bytes, frames: list[tuple[str, bytes]]) -> list[bytes | 
             except InvalidTag:
                 opened.append(None)
     return opened
-
-
-def _occurs_any(needles: list[bytes], haystack: bytes) -> bool:
-    """Exactly ``any(n in haystack for n in needles)``, without one full scan
-    of the haystack per needle.
-
-    The haystack's 8-byte words at offsets 0, 8, 16, ... are sorted once. An
-    occurrence at offset i of a needle of 15 bytes or more contains the word
-    at j = ceil(i / 8) * 8, which is the needle's window at d = j - i <= 7,
-    since j + 8 <= i + 15. A long needle none of whose eight windows is such a
-    word cannot occur and skips the substring search; every other needle
-    takes it.
-    """
-    words = np.sort(np.frombuffer(haystack, np.uint64, len(haystack) // 8))
-    long = [n for n in needles if len(n) >= 15]
-    windows = np.frombuffer(
-        b"".join(n[d:d + 8] for n in long for d in range(8)), np.uint64
-    ).reshape(-1, 8)
-    hits = (
-        np.searchsorted(words, windows, "right") > np.searchsorted(words, windows, "left")
-    ).any(axis=1)
-    short = [n for n in needles if len(n) < 15]
-    return any(n in haystack for n in short + [n for n, hit in zip(long, hits) if hit])
 
 
 def format_transcript(transcript: list[tuple[str, bytes]]) -> str:
@@ -450,8 +427,8 @@ def run_scenario(scenario: Scenario) -> ScenarioRecord:
     elif scenario.mode is AdversaryMode.HOST_COMPROMISE:
         stolen = records[_COMPROMISED_SESSION].key
         adversary.stolen.append(stolen)
-        # forward secrecy: the stolen key opens every data frame of its own
-        # session, of which there is one at least, and no other session's
+        # session-key independence: the stolen key opens every data frame of
+        # its own session, of which there is one at least, and no other's
         opened = [_opened_frames(stolen, o.transcript) for o in outcomes]
         mode_rows = [
             ("sessions", str(len(records))),

@@ -191,12 +191,14 @@ class SessionEndpoint:
     ``on_peer_certificate``) or raises :class:`HandshakeAborted`, whose
     ``frame`` is the abort to send, with phase ``FAILED``. Once established,
     ``seal`` makes data frames and ``open`` reads them. Private key material
-    lives only in memory. ``close`` drops this endpoint's references to the
-    DH private key and to the AES-GCM context keyed by the session key, and
-    leaves the endpoint unusable in phase ``CLOSED`` (or ``FAILED``, if it had
-    failed); it cannot wipe them, because CPython
-    ``bytes`` are immutable and the :class:`SessionKey` returned by
-    ``establish`` stays with the caller.
+    lives only in memory. ``exchange_dh`` drops the transformation key and
+    the fingerprint, from which the DH private key could be recomputed, on
+    success and on abort alike. ``close`` drops this endpoint's references to
+    those two (if ``exchange_dh`` never ran), to the DH private key and to
+    the AES-GCM context keyed by the session key, and leaves the endpoint
+    unusable in phase ``CLOSED`` (or ``FAILED``, if it had failed); it cannot
+    wipe them, because CPython ``bytes`` are immutable and the
+    :class:`SessionKey` returned by ``establish`` stays with the caller.
     """
 
     def __init__(
@@ -211,12 +213,12 @@ class SessionEndpoint:
         transform_key: TransformationKey,
     ):
         self.certificate = certificate
-        self.fingerprint = fingerprint
+        self.fingerprint: MinutiaeSet | None = fingerprint
         self.ca_public_key = ca_public_key
         self.initiator = initiator
         self.session_id = session_id
         self.cfg = cfg
-        self.transform_key = transform_key
+        self.transform_key: TransformationKey | None = transform_key
         self.state = HandshakeState()
         self._private_key = None
         self._aead: AESGCM | None = None
@@ -258,7 +260,8 @@ class SessionEndpoint:
         256-byte public value; PeerVerified -> PubKeySent.
 
         Feature extraction failure (too few usable minutiae) or a failed key
-        agreement computation aborts the handshake.
+        agreement computation aborts the handshake. On success and on abort
+        alike, the fingerprint and the transformation key are dropped.
         """
         if self.state.phase is not Phase.PEER_VERIFIED:
             raise ProtocolStateError(f"exchange_dh in phase {self.state.phase.value}")
@@ -268,6 +271,8 @@ class SessionEndpoint:
             self._abort(AbortReason.FEATURE_EXTRACTION, str(exc))
         except KeyAgreementError as exc:
             self._abort(AbortReason.KEY_AGREEMENT, str(exc))
+        finally:
+            self.fingerprint = self.transform_key = None
         self._private_key = prv
         self.state.phase = Phase.PUBKEY_SENT
         return WireMessage(MSG_DH_PUB, pub.to_bytes())
@@ -332,11 +337,12 @@ class SessionEndpoint:
     # -- teardown ------------------------------------------------------------
 
     def close(self) -> None:
-        """Drop the key material and end the session; idempotent. The phase
-        becomes ``CLOSED``, except that a failed endpoint stays ``FAILED``
-        and keeps its ``abort_reason``."""
+        """Drop the key material and what could recompute it, and end the
+        session; idempotent. The phase becomes ``CLOSED``, except that a
+        failed endpoint stays ``FAILED`` and keeps its ``abort_reason``."""
         self._aead = None
         self._private_key = None
+        self.fingerprint = self.transform_key = None
         if self.state.phase is not Phase.FAILED:
             self.state.phase = Phase.CLOSED
 

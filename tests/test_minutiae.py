@@ -386,6 +386,20 @@ def test_minutiae_cap_holds_for_sets_and_synthesis(monkeypatch):
         synthesize_subject(MAX_MINUTIAE + 1, 388, 374, seed=1)
 
 
+def test_perturb_checks_the_cap_before_drawing(monkeypatch):
+    # the count is taken before rounding collisions are removed
+    base = synthesize_subject(1000, 388, 374, seed=1)
+    at_cap = perturb(base, PerturbationProfile(drop_rate=0.1, spurious_rate=0.124, rng_seed=1))
+    assert len(at_cap) <= MAX_MINUTIAE
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before checking the minutiae count")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(MinutiaeError, match=f"perturbation leaves 1100, at most {MAX_MINUTIAE}"):
+        perturb(base, PerturbationProfile(spurious_rate=0.1, rng_seed=1))
+
+
 def test_parse_names_the_first_line_past_the_cap():
     rows = [b"%d %d 0" % (k % 1000, k // 1000) for k in range(MAX_MINUTIAE + 1)]
     data = b"1000 10\n# comment\n" + b"\n".join(rows) + b"\n"

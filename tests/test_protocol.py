@@ -294,6 +294,27 @@ def test_close_after_abort_keeps_failure(ca_env):
         b.seal(b"after close")
 
 
+@pytest.mark.parametrize("ending", ["closed", "exchange_dh_abort", "closed_before_exchange_dh"])
+def test_endpoint_keeps_nothing_that_recomputes_its_exponent(ca_env, request, ending):
+    # the fingerprint and the transformation key, with the peer's captured
+    # DH value, recompute the session key: they go however the session ends
+    if ending == "closed":
+        a, *_ = _handshake(ca_env)
+        a.close()
+    elif ending == "exchange_dh_abort":
+        a = _verified_alice(ca_env)
+        request.getfixturevalue("fail_modexp")()
+        with pytest.raises(HandshakeAborted):
+            a.exchange_dh()
+    else:
+        a = _verified_alice(ca_env)
+        a.close()
+    assert not [
+        name for name, value in vars(a).items()
+        if isinstance(value, (TransformationKey, MinutiaeSet))
+    ]
+
+
 def test_open_rejects_malformed_data_frames(ca_env):
     a, b, _, _ = _handshake(ca_env)
     sealed = a.seal(b"framed")
