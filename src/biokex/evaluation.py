@@ -21,10 +21,24 @@ fractions near 0.5.
 
 Everything here is a pure function over its inputs; pair ranges may be
 split across workers and merged without changing any result.
+
+Feature extraction is most of a gallery evaluation, so one forked child
+extracts the second half of the subjects' feature strings while the caller
+extracts the first, and sends its packed rows back through a pipe. Each row
+is a function of its minutiae set and the quantization alone, so the bytes
+are those of the serial loop. The loop stays serial where ``os.fork`` is
+missing, where the process may run on one CPU only, and where it already
+runs a second thread, which a fork could leave holding a lock: a process
+that has run a session keeps :func:`pipeline.side_by_side`'s worker. If the
+child fails or sends too few rows, the caller extracts its half too, so an
+error surfaces exactly as on the serial path.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -148,10 +162,60 @@ def _packed_templates(
     subject, packed into bytes MSB first: shape (subjects, impressions,
     2**n_p / 8)."""
     packed = np.empty((len(dataset), n_impressions, (1 << cfg.n_p) // 8), np.uint8)
-    for s, impressions in enumerate(dataset):
-        for i, mset in enumerate(impressions[:n_impressions]):
-            packed[s, i] = np.packbits(extract_features(mset, cfg).bits, bitorder="big")
+
+    def fill(rows: range) -> None:
+        for s in rows:
+            for i, mset in enumerate(dataset[s][:n_impressions]):
+                packed[s, i] = np.packbits(extract_features(mset, cfg).bits, bitorder="big")
+
+    half = len(dataset) // 2
+    if not _may_fork():
+        fill(range(len(dataset)))
+        return packed
+    rest = memoryview(packed[half:]).cast("B")
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # from Python 3.12 a native thread, such as the BLAS pool NumPy starts
+        # on import, makes fork warn; no Python thread runs (see _may_fork)
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            fill(range(half, len(dataset)))
+            with open(write_fd, "wb") as rows_out:
+                rows_out.write(rest)
+            code = 0
+        finally:
+            os._exit(code)
+
+    os.close(write_fd)
+    status = None
+    try:
+        with open(read_fd, "rb") as rows_in:
+            fill(range(half))
+            received = rows_in.readinto(rest)
+        _, status = os.waitpid(pid, 0)
+    finally:
+        if status is None:
+            import signal  # only here: a `biokex eval` process does not load it
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if status != 0 or received != rest.nbytes:
+        fill(range(half, len(dataset)))
     return packed
+
+
+def _may_fork() -> bool:
+    """Whether :func:`_packed_templates` may fork a child for half the rows:
+    the platform forks, the process may run on two CPUs at least, and no
+    other thread runs."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    affinity = getattr(os, "sched_getaffinity", None)
+    return (len(affinity(0)) if affinity else os.cpu_count() or 1) > 1
 
 
 def _differing_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -466,11 +466,12 @@ def perturb(mset: MinutiaeSet, profile: PerturbationProfile) -> MinutiaeSet:
     ``MAX_MINUTIAE`` would remain, counted before such collisions are
     removed, raises :class:`MinutiaeError` before the first draw.
     """
-    return replace(mset, minutiae=_perturbed_points(mset, profile))
+    return replace(mset, minutiae=_perturbed_points(mset, profile, profile.rng_seed))
 
 
-def _perturbed_points(mset: MinutiaeSet, profile: PerturbationProfile) -> np.ndarray:
-    """The (3, n) minutiae array of ``perturb(mset, profile)``, not yet a set."""
+def _perturbed_points(mset: MinutiaeSet, profile: PerturbationProfile, seed: int) -> np.ndarray:
+    """The (3, n) minutiae array of ``perturb(mset, profile)`` with
+    ``profile.rng_seed`` replaced by ``seed``, not yet a set."""
     n = len(mset)
     n_drop = int(round(profile.drop_rate * n))
     n_spurious = int(round(profile.spurious_rate * n))
@@ -479,7 +480,7 @@ def _perturbed_points(mset: MinutiaeSet, profile: PerturbationProfile) -> np.nda
         raise MinutiaeError(
             f"too many minutiae: perturbation leaves {kept}, at most {MAX_MINUTIAE}"
         )
-    rng = np.random.default_rng(np.random.SeedSequence(profile.rng_seed))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     xs, ys, thetas = mset.points
 
     dx = rng.normal(0.0, profile.translation_sigma, size=n)
@@ -542,7 +543,7 @@ def synthesize_dataset(
             sub_seed = int(
                 np.random.SeedSequence([seed, s, i]).generate_state(1, np.uint64)[0]
             )
-            moved = _perturbed_points(base, replace(profile, rng_seed=sub_seed))
+            moved = _perturbed_points(base, profile, sub_seed)
             impressions.append(MinutiaeSet(base.subject_id, i, base.width, base.height, moved))
         dataset.append(impressions)
     return dataset

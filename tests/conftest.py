@@ -1,8 +1,12 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import biokex
 from biokex import _openssl, netsim
 from biokex.features import QuantizationConfig
 from biokex.minutiae import (
@@ -13,6 +17,26 @@ from biokex.minutiae import (
     synthesize_dataset,
     synthesize_subject,
 )
+
+
+def child_env():
+    """The environment for CLI subprocesses: PYTHONPATH starts with the
+    absolute directory holding the `biokex` this suite imported, so the child
+    runs the same code from any working directory (a relative
+    `PYTHONPATH=src` would resolve against the child's cwd)."""
+    package_root = str(Path(biokex.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = package_root + (os.pathsep + inherited if inherited else "")
+    return env
+
+
+def run_cli(args, cwd):
+    return subprocess.run(
+        [sys.executable, "-m", "biokex.cli", *args],
+        cwd=cwd, env=child_env(), capture_output=True, text=True, timeout=300,
+    )
+
 
 _acceptance_lines: list[str] = []
 

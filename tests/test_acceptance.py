@@ -30,7 +30,10 @@ from biokex.keyagree import (
     shared_secret,
 )
 from biokex.minutiae import Minutia, MinutiaeSet, PerturbationProfile, synthesize_dataset, synthesize_subject
-from biokex.netsim import AdversaryMode, Scenario, run_scenario
+from biokex.netsim import (
+    AdversaryMode, Scenario, make_enrolled_party, make_environment, run_scenario,
+)
+from biokex.protocol import ReplayError, SessionEndpoint
 from biokex.transform import TransformationKey, invert, permute
 
 CFG12 = QuantizationConfig.for_np(12)
@@ -189,6 +192,31 @@ def test_criterion_08_attack_suite():
         hc = run_scenario(Scenario(AdversaryMode.HOST_COMPROMISE, seed=804))
         assert hc.get("sessions") == "3"
         assert hc.get("decrypts_only_own_session") == "true"
+
+        # intra-session replay: a data frame the receiver has opened,
+        # delivered to the same endpoint again
+        registry = make_environment(805)
+        alice = make_enrolled_party(registry, "alice", 806)
+        bob = make_enrolled_party(registry, "bob", 807)
+        a, b = (
+            SessionEndpoint(
+                party.certificate, party.fingerprint, registry.public_key,
+                initiator=party is alice, session_id=1, transform_key=TransformationKey(token),
+            )
+            for party, token in ((alice, b"alice-token-0805"), (bob, b"bob-token-000805"))
+        )
+        a.on_peer_certificate(b.on_peer_certificate(a.initiate()))
+        pub_a, pub_b = a.exchange_dh(), b.exchange_dh()
+        b.establish(pub_a)
+        a.establish(pub_b)
+        frame = a.seal(b"delivered once")
+        assert b.open(frame) == b"delivered once"
+        try:
+            b.open(frame)
+        except ReplayError:
+            pass
+        else:
+            raise AssertionError("an opened data frame was accepted again")
 
 
 def test_criterion_09_structural_properties():

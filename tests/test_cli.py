@@ -1,5 +1,4 @@
 import hashlib
-import os
 import re
 import subprocess
 import sys
@@ -9,6 +8,8 @@ import numpy as np
 import pytest
 
 import biokex
+from conftest import child_env, run_cli
+
 from biokex import netsim
 from biokex.cli import EXIT_DATA, EXIT_USAGE, dispatch
 from biokex.evaluation import ROC_CSV_HEADER
@@ -21,25 +22,6 @@ EVAL_ARGS = [
     "eval", "--synthetic", "--subjects", "6", "--impressions", "3",
     "--minutiae", "40", "--seed", "42",
 ]
-
-
-def child_env():
-    """The environment for CLI subprocesses: PYTHONPATH starts with the
-    absolute directory holding the `biokex` this suite imported, so the child
-    runs the same code from any working directory (a relative
-    `PYTHONPATH=src` would resolve against the child's cwd)."""
-    package_root = str(Path(biokex.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = package_root + (os.pathsep + inherited if inherited else "")
-    return env
-
-
-def run_cli(args, cwd):
-    return subprocess.run(
-        [sys.executable, "-m", "biokex.cli", *args],
-        cwd=cwd, env=child_env(), capture_output=True, text=True, timeout=300,
-    )
 
 
 def test_child_imports_package_under_test(tmp_path):

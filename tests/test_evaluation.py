@@ -1,12 +1,16 @@
 import hashlib
 import math
 import os
+import signal
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biokex import cli
+from conftest import run_cli
+
+from biokex import cli, evaluation
 from biokex.evaluation import (
     DistributionSummary,
     EvaluationError,
@@ -22,8 +26,8 @@ from biokex.evaluation import (
     template_similarity_scores,
     write_roc_csv,
 )
-from biokex.features import QuantizationConfig
-from biokex.minutiae import PerturbationProfile, synthesize_dataset
+from biokex.features import FeatureError, QuantizationConfig
+from biokex.minutiae import Minutia, MinutiaeSet, PerturbationProfile, synthesize_dataset
 from biokex.pipeline import private_key_from_minutiae, revocable_template
 from biokex.transform import TransformationKey
 
@@ -302,16 +306,28 @@ BENCH_SHAPE_PINS = {
 }
 
 
-def test_eval_benchmark_shape_frozen_reference(tmp_path, capsys):
-    rc = cli.dispatch([
-        "eval", "--synthetic", "--subjects", "12", "--impressions", "8", "--minutiae", "190",
-        "--drop-rate", "0.05", "--seed", "11",
-        "--out", str(tmp_path / "roc.csv"), "--summary-out", str(tmp_path / "summary.txt"),
-    ])
-    assert rc == 0
-    assert capsys.readouterr().out.startswith(
-        "genuine_mean=0.7250 impostor_mean=0.6566 separation=0.0684 eer=0.0000\n"
-    )
+BENCH_SHAPE_ARGS = [
+    "eval", "--synthetic", "--subjects", "12", "--impressions", "8", "--minutiae", "190",
+    "--drop-rate", "0.05", "--seed", "11", "--out", "roc.csv", "--summary-out", "summary.txt",
+]
+BENCH_SHAPE_LINE = "genuine_mean=0.7250 impostor_mean=0.6566 separation=0.0684 eer=0.0000\n"
+
+
+def test_eval_benchmark_shape_frozen_reference(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.dispatch(BENCH_SHAPE_ARGS) == 0
+    assert capsys.readouterr().out.startswith(BENCH_SHAPE_LINE)
+    for name, digest in BENCH_SHAPE_PINS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_eval_benchmark_shape_frozen_reference_in_child_interpreter(tmp_path):
+    # a fresh interpreter runs no second thread, so on two CPUs or more its
+    # feature strings come half from a forked child
+    proc = run_cli(BENCH_SHAPE_ARGS, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.startswith(BENCH_SHAPE_LINE)
     for name, digest in BENCH_SHAPE_PINS.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
@@ -330,3 +346,83 @@ def test_eval_outputs_frozen_reference(tmp_path, capsys):
     )
     for name, digest in EVAL_PINS.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# --- feature strings extracted in two processes ---------------------------------
+
+def _timed_out(signum, frame):
+    raise TimeoutError("feature extraction did not finish in 60 s")
+
+
+@pytest.fixture
+def packed_with(monkeypatch):
+    """``_packed_templates`` with the fork taken or not, as ``fork`` says.
+
+    Tier-1's process runs a worker thread once a session has run, so the fork
+    is forced here. Each call has 60 s, so that a blocked pipe fails the test
+    instead of hanging the suite, and leaves no child of this process behind.
+    """
+    def packed(fork, dataset, n_impressions, cfg):
+        monkeypatch.setattr(evaluation, "_may_fork", lambda: fork)
+        previous = signal.signal(signal.SIGALRM, _timed_out)
+        signal.alarm(60)
+        try:
+            return evaluation._packed_templates(dataset, n_impressions, cfg)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    return packed
+
+
+def _gallery(n_subjects):
+    profile = PerturbationProfile(translation_sigma=2.0, rotation_sigma=4.0, drop_rate=0.05)
+    return synthesize_dataset(n_subjects, 3, profile, n_minutiae=40, seed=28)
+
+
+fork_only = pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform does not fork")
+
+
+@fork_only
+@pytest.mark.parametrize("n_subjects", [5, 6], ids=["odd", "even"])
+def test_forked_extraction_matches_serial(packed_with, monkeypatch, cfg12, n_subjects):
+    dataset = _gallery(n_subjects)
+    serial = packed_with(False, dataset, 3, cfg12)
+    extracted = []
+    extract = evaluation.extract_features
+    monkeypatch.setattr(
+        evaluation, "extract_features", lambda mset, cfg: extracted.append(mset) or extract(mset, cfg)
+    )
+    forked = packed_with(True, dataset, 3, cfg12)
+    assert forked.tobytes() == serial.tobytes()
+    # the caller extracted the first half only: the rest came from the child
+    assert extracted == [m for row in dataset[: n_subjects // 2] for m in row]
+
+
+@fork_only
+@pytest.mark.parametrize("subject", [4, 0], ids=["child_half", "caller_half"])
+def test_forked_extraction_fails_as_serial(packed_with, cfg12, subject):
+    # two minutiae at one position: no pair has a direction
+    dataset = [list(row) for row in _gallery(5)]
+    dataset[subject][1] = MinutiaeSet(
+        dataset[subject][1].subject_id, 1, 10, 10, (Minutia(5, 5, 0.0), Minutia(5, 5, 180.0))
+    )
+    with pytest.raises(FeatureError) as serial:
+        packed_with(False, dataset, 3, cfg12)
+    with pytest.raises(FeatureError) as forked:
+        packed_with(True, dataset, 3, cfg12)
+    assert type(forked.value) is type(serial.value)
+    assert str(forked.value) == str(serial.value)
+
+
+def test_extraction_forks_only_on_two_cpus_and_one_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    assert evaluation._may_fork() is hasattr(os, "fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+    assert not evaluation._may_fork()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(threading, "active_count", lambda: 2)
+    assert not evaluation._may_fork()
