@@ -17,6 +17,10 @@ array, so no per-minutia object exists on the evaluation path.
 type of ``MinutiaeSet.minutiae``, built on demand. All types are immutable
 after construction and every operation here is a pure function, so
 concurrent use needs no locking.
+
+A synthetic capture is a subject from :func:`synthesize_subject`, moved by
+:func:`perturb` under a :class:`PerturbationProfile`: a translation sigma, a
+rotation sigma and a drop rate. Seeds are arguments, never profile fields.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import math
 import numbers
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -256,24 +260,24 @@ MinutiaeSet.minutiae = property(MinutiaeSet._minutiae, doc="Tuple of Minutia, bu
 class PerturbationProfile:
     """Intra-subject capture variation used to synthesize genuine impressions.
 
-    Gaussian positional jitter (pixels), Gaussian orientation jitter
-    (degrees), a dropped fraction of true minutiae and a spurious fraction
-    of invented ones. Deterministic for a fixed ``rng_seed``.
+    A translation sigma (pixels) and a rotation sigma (degrees) of Gaussian
+    jitter, each finite and in [0, 1e300], and the fraction of minutiae
+    dropped, in [0, 1]. The seed is an argument of :func:`perturb`.
     """
 
     translation_sigma: float = 0.0
     rotation_sigma: float = 0.0
     drop_rate: float = 0.0
-    spurious_rate: float = 0.0
-    rng_seed: int = 0
 
     def __post_init__(self):
-        for sigma in (self.translation_sigma, self.rotation_sigma):
-            if not (math.isfinite(sigma) and sigma >= 0):
-                raise MinutiaeError("perturbation sigmas must be finite and >= 0")
-        if not 0.0 <= self.drop_rate <= 1.0 or not 0.0 <= self.spurious_rate <= 1.0:
-            raise MinutiaeError("drop/spurious rates must lie in [0, 1]")
-        _check_seed(self.rng_seed, "rng_seed")
+        for name in ("translation_sigma", "rotation_sigma"):
+            sigma = getattr(self, name)
+            # standard normal draws stay below 14 in magnitude, so a draw at
+            # this scale plus a coordinate or angle is finite; NaN fails too
+            if not 0.0 <= sigma <= 1e300:
+                raise MinutiaeError(f"{name} must be finite and in [0, 1e300], got {sigma!r}")
+        if not 0.0 <= self.drop_rate <= 1.0:
+            raise MinutiaeError(f"drop_rate must lie in [0, 1], got {self.drop_rate!r}")
 
 
 def _format_theta(theta: float) -> str:
@@ -388,7 +392,7 @@ def synthesize_subject(
     )
     if minutiae is None:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        minutiae = _draw_unique(rng, n_minutiae, width, height, set())
+        minutiae = _draw_unique(rng, n_minutiae, width, height)
     sid = subject_id if subject_id is not None else f"synth-{seed}"
     return MinutiaeSet(sid, 0, width, height, minutiae)
 
@@ -396,7 +400,7 @@ def synthesize_subject(
 def _drawn_at_once(
     rng: np.random.Generator, count: int, width: int, height: int
 ) -> np.ndarray | None:
-    """``_draw_unique(rng, count, width, height, set())`` as a (3, count)
+    """``_draw_unique(rng, count, width, height)`` as a (3, count)
     array, read from ``2 * count`` raw words of a fresh PCG64 ``rng``; None
     where that call would draw a word more.
 
@@ -425,61 +429,46 @@ def _drawn_at_once(
 
 
 def _draw_unique(
-    rng: np.random.Generator, count: int, width: int, height: int, seen: set
+    rng: np.random.Generator, count: int, width: int, height: int
 ) -> list[tuple[int, int, float]]:
-    """``count`` minutiae, each drawn as x, y, then angle, and drawn again
-    while it repeats one in ``seen``; ``seen`` gains every one returned.
+    """``count`` distinct minutiae, each drawn as x, y, then angle, and drawn
+    again while it repeats an earlier one.
 
     This is the stream that :func:`synthesize_subject` keeps: per minutia,
     ``integers(0, width, endpoint=True)``, ``integers(0, height,
     endpoint=True)`` and ``uniform(0.0, 360.0)``, scalar calls in that order.
-    :func:`_drawn_at_once` reproduces it for a fresh generator; the spurious
-    minutiae of :func:`perturb` come from a generator already in use, so
-    they are always drawn here."""
-    drawn: list[tuple[int, int, float]] = []
+    :func:`_drawn_at_once` reproduces it for a fresh generator."""
+    # a repeat re-assigns its key, which keeps the first one's place
+    drawn: dict[tuple[int, int, float], None] = {}
     while len(drawn) < count:
-        m = (
+        drawn[
             int(rng.integers(0, width, endpoint=True)),
             int(rng.integers(0, height, endpoint=True)),
             normalize_degrees(rng.uniform(0.0, 360.0)),
-        )
-        if m not in seen:
-            seen.add(m)
-            drawn.append(m)
-    return drawn
+        ] = None
+    return list(drawn)
 
 
-def perturb(mset: MinutiaeSet, profile: PerturbationProfile) -> MinutiaeSet:
-    """Simulate a fresh capture of the same finger.
+def perturb(
+    mset: MinutiaeSet,
+    profile: PerturbationProfile,
+    seed: int,
+    impression_id: int | None = None,
+) -> MinutiaeSet:
+    """Simulate a fresh capture of the same finger as impression
+    ``impression_id`` (by default ``mset``'s), drawn from a fresh generator
+    on ``seed``. The all-zero profile is the identity map.
 
-    Surviving minutiae are displaced by Gaussian noise in position and
-    orientation, a ``drop_rate`` fraction is removed, and a ``spurious_rate``
-    fraction of invented minutiae is appended. Deterministic for a fixed
-    profile seed; the all-zero profile is the identity map.
-
-    The displacement runs on whole arrays, but the RNG draw order is the
-    per-minutia one: x, y and angle noise for every minutia, then the drop
-    choice, then one scalar (x, y, angle) draw per spurious minutia. Positions
-    round half to even (as ``round``) and clip to the image; angles reduce as
-    :func:`normalize_degrees` does. Positional rounding can collide two
-    survivors; the first occurrence is kept. A profile under which more than
-    ``MAX_MINUTIAE`` would remain, counted before such collisions are
-    removed, raises :class:`MinutiaeError` before the first draw.
+    Every minutia is displaced by Gaussian noise in position and
+    orientation, on whole arrays but in the per-minutia draw order (x, y and
+    angle noise for every minutia), then a ``drop_rate`` fraction is
+    removed. Positions round half to even (as ``round``) and clip to the
+    image; angles reduce as :func:`normalize_degrees` does. Positional
+    rounding can collide two survivors; the first occurrence is kept.
     """
-    return replace(mset, minutiae=_perturbed_points(mset, profile, profile.rng_seed))
-
-
-def _perturbed_points(mset: MinutiaeSet, profile: PerturbationProfile, seed: int) -> np.ndarray:
-    """The (3, n) minutiae array of ``perturb(mset, profile)`` with
-    ``profile.rng_seed`` replaced by ``seed``, not yet a set."""
+    _check_seed(seed, "seed")
     n = len(mset)
     n_drop = int(round(profile.drop_rate * n))
-    n_spurious = int(round(profile.spurious_rate * n))
-    kept = n - n_drop + n_spurious
-    if kept > MAX_MINUTIAE:
-        raise MinutiaeError(
-            f"too many minutiae: perturbation leaves {kept}, at most {MAX_MINUTIAE}"
-        )
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     xs, ys, thetas = mset.points
 
@@ -500,10 +489,6 @@ def _perturbed_points(mset: MinutiaeSet, profile: PerturbationProfile, seed: int
         keep[rng.choice(n, size=n_drop, replace=False)] = False
         pts = pts[:, keep]
 
-    if n_spurious:
-        spurious = _draw_unique(rng, n_spurious, mset.width, mset.height, set(zip(*pts.tolist())))
-        pts = np.concatenate((pts, np.array(spurious, dtype=np.float64).T), axis=1)
-
     # positional rounding can collide two survivors: keep the first
     repeats = _repeats(pts)
     if len(repeats):
@@ -512,7 +497,8 @@ def _perturbed_points(mset: MinutiaeSet, profile: PerturbationProfile, seed: int
         raise InsufficientMinutiaeError(
             f"insufficient minutiae: {pts.shape[1]} left after perturbation"
         )
-    return pts
+    iid = mset.impression_id if impression_id is None else impression_id
+    return MinutiaeSet(mset.subject_id, iid, mset.width, mset.height, pts)
 
 
 def synthesize_dataset(
@@ -527,23 +513,21 @@ def synthesize_dataset(
 ) -> list[list[MinutiaeSet]]:
     """Build a synthetic gallery: ``dataset[s][i]`` is impression i of subject s.
 
-    Genuine impressions re-perturb one underlying subject with per-impression
-    sub-seeds; different subjects are synthesized independently, so
-    cross-subject comparisons behave as impostor pairs.
+    Genuine impressions are :func:`perturb` of one underlying subject with
+    per-impression sub-seeds; different subjects are synthesized
+    independently, so cross-subject comparisons behave as impostor pairs.
     """
     if n_subjects < 1 or n_impressions < 1:
         raise MinutiaeError("need at least one subject and one impression")
     _check_seed(seed, "seed")
     dataset: list[list[MinutiaeSet]] = []
     for s in range(n_subjects):
-        base_seed = int(np.random.SeedSequence([seed, s]).generate_state(1, np.uint64)[0])
-        base = synthesize_subject(n_minutiae, width, height, base_seed, subject_id=f"s{s:04d}")
-        impressions = []
-        for i in range(n_impressions):
-            sub_seed = int(
-                np.random.SeedSequence([seed, s, i]).generate_state(1, np.uint64)[0]
-            )
-            moved = _perturbed_points(base, profile, sub_seed)
-            impressions.append(MinutiaeSet(base.subject_id, i, base.width, base.height, moved))
-        dataset.append(impressions)
+        base = synthesize_subject(n_minutiae, width, height, _sub_seed(seed, s), f"s{s:04d}")
+        dataset.append([
+            perturb(base, profile, _sub_seed(seed, s, i), i) for i in range(n_impressions)
+        ])
     return dataset
+
+
+def _sub_seed(*entropy: int) -> int:
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])

@@ -118,9 +118,9 @@ def pinned_galleries():
 
     * ``cli``: the ``biokex eval`` default profile (2 px, 4 deg, 5% drop,
       190 minutiae) on a 4 x 4 gallery;
-    * ``harsh``: a 12 x 10 image with 3 px and 200 deg noise and 30%
-      spurious minutiae, so positions clip at the border, angles wrap
-      across 0/360 and many pairs share a position;
+    * ``harsh``: a 12 x 10 image with 3 px and 200 deg noise and 10% drop,
+      so positions clip at the border, angles wrap across 0/360 and many
+      pairs share a position;
     * ``collide``: a grid of equal-angle minutiae under positional noise
       only, so rounded survivors collide and are deduplicated;
     * ``edge``: two-minutia sets and a set with a coincident pair.
@@ -137,15 +137,14 @@ def pinned_galleries():
         "cli": flat(synthesize_dataset(
             4, 4, PerturbationProfile(2.0, 4.0, 0.05), n_minutiae=190, seed=2024)),
         "harsh": flat(synthesize_dataset(
-            6, 4, PerturbationProfile(3.0, 200.0, 0.1, 0.3),
+            6, 4, PerturbationProfile(3.0, 200.0, 0.1),
             n_minutiae=60, width=12, height=10, seed=7)),
         "collide": [
-            perturb(grid, PerturbationProfile(1.5, 0.0, 0.0, 0.2, rng_seed=s))
-            for s in range(8)
+            perturb(grid, PerturbationProfile(translation_sigma=1.5), s) for s in range(8)
         ],
         "edge": [
             two,
-            perturb(two, PerturbationProfile(2.0, 4.0, rng_seed=5)),
+            perturb(two, PerturbationProfile(2.0, 4.0), 5),
             MinutiaeSet(
                 "d", 0, 10, 10,
                 (Minutia(5, 5, 0.0), Minutia(5, 5, 90.0), Minutia(7, 5, 10.0)),

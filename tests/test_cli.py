@@ -192,6 +192,18 @@ def test_more_minutiae_than_a_set_holds_is_a_data_error(tmp_path, argv):
     assert proc.stdout == "" and not (tmp_path / "roc.csv").exists()
 
 
+@pytest.mark.parametrize("option, field", [
+    ("--noise", "translation_sigma"), ("--rotation-noise", "rotation_sigma"),
+])
+def test_eval_refuses_a_sigma_whose_draws_could_overflow(tmp_path, option, field):
+    proc = run_cli(["eval", "--synthetic", "--subjects", "3", "--impressions", "2",
+                    "--minutiae", "20", option, "1e308", "--out", "roc.csv"], tmp_path)
+    assert proc.returncode == EXIT_DATA == 3, proc.stderr
+    assert proc.stderr.startswith(f"error: {field} must be finite")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == "" and not (tmp_path / "roc.csv").exists()
+
+
 @pytest.mark.parametrize("lmax", ["nan", "inf"])
 def test_keygen_rejects_non_finite_lmax(tmp_path, lmax):
     proc = run_cli(["keygen", "--seed", "3", "--lmax", lmax], tmp_path)

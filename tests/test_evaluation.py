@@ -213,7 +213,7 @@ def test_end_to_end_low_noise_eer(small_dataset, cfg12):
 
 
 def test_low_noise_pipeline_eer_under_five_percent(cfg12):
-    profile = PerturbationProfile(translation_sigma=0.5, rotation_sigma=1.0, rng_seed=0)
+    profile = PerturbationProfile(translation_sigma=0.5, rotation_sigma=1.0)
     ds = synthesize_dataset(12, 4, profile, n_minutiae=40, seed=77)
     assert eer(template_similarity_scores(ds, cfg12)) < 0.05
 

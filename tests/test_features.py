@@ -263,12 +263,12 @@ def test_config_rejects_non_finite_l_max(l_max):
 # set of each ``pinned_galleries`` entry, computed with per-pair trigonometry
 FEATURE_PINS = {
     (12, "cli"): "5a4b77607cfe262c3d1500e3b54b7536936e0d8f4e6dfff631bbf7e7620d8b31",
-    (12, "harsh"): "1ba82e1b850e60bad7e1361d5e9863d8c14391fc1bdbe4f4b45c0123ef09005c",
-    (12, "collide"): "7d9a3d998ff5b8f738f350031a038cf0faeb52f8cbf01d7e04a5d4b6a4d346b1",
+    (12, "harsh"): "39b8d3606cf11448ca33cfab336ffd44964f99b15850d3d268b152fd8eeea326",
+    (12, "collide"): "ff6ae4458bded5f6e65e9845e27d4289becf129c4944c32647be028c4092d4ab",
     (12, "edge"): "171edb4e2db96867b490564a8abd9cb1fdff4c77511776e382fe324108fc9ae1",
     (15, "cli"): "0dc40e02d033c26ce5fa2dbee7de36dc1331565834976f75a46d18aed06921c5",
-    (15, "harsh"): "79acda2232560970012e05d2d8c832deb78955546e07e587ab508e455236196b",
-    (15, "collide"): "697d41228c9abfba98b86b8369ebcaa5430f3a28fec0f345ea1554aaa92087a7",
+    (15, "harsh"): "64a7bb7e1277696234dd5de712daca33720ac2bbb87f70d99de5ec5a8d25da7f",
+    (15, "collide"): "0afee0b51295ce6a69871825004115ee07c000a7b11ec160c44c7824c7be9683",
     (15, "edge"): "f7fa84fbd848f973e7f943a07fe78bb417bfa2f5d3f866bf6f0f7389d91a1a86",
 }
 

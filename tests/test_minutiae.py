@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from biokex import minutiae
 from biokex.features import QuantizationConfig, extract_features
 from biokex.minutiae import (
     MAX_COORDINATE,
@@ -328,7 +329,7 @@ def test_gallery_path_builds_no_minutia(monkeypatch):
 
     monkeypatch.setattr(Minutia, "__new__", staticmethod(counting))
     cfg = QuantizationConfig.for_np(15)
-    profile = PerturbationProfile(2.0, 4.0, 0.1, 0.1)
+    profile = PerturbationProfile(2.0, 4.0, 0.1)
     for row in synthesize_dataset(3, 3, profile, n_minutiae=40):
         for mset in row:
             extract_features(mset, cfg)
@@ -344,15 +345,18 @@ def test_synthesis_rejects_bad_seeds(seed):
         synthesize_subject(30, 388, 374, seed=seed)
     with pytest.raises(MinutiaeError, match="seed must be a non-negative integer"):
         synthesize_dataset(2, 2, PerturbationProfile(), seed=seed)
-    with pytest.raises(MinutiaeError, match="rng_seed must be a non-negative integer"):
-        PerturbationProfile(rng_seed=seed)
+    base = synthesize_subject(30, 388, 374, seed=1)
+    with pytest.raises(MinutiaeError, match="seed must be a non-negative integer"):
+        perturb(base, PerturbationProfile(), seed)
 
 
 def test_synthesis_accepts_numpy_integer_seeds():
     assert synthesize_subject(5, 50, 50, seed=np.uint64(2**63)) == synthesize_subject(
         5, 50, 50, seed=2**63
     )
-    assert PerturbationProfile(rng_seed=np.int64(3)).rng_seed == 3
+    base = synthesize_subject(30, 388, 374, seed=1)
+    profile = PerturbationProfile(2.0, 4.0, 0.1)
+    assert perturb(base, profile, np.int64(3)) == perturb(base, profile, 3)
 
 
 @pytest.mark.parametrize(
@@ -386,20 +390,6 @@ def test_minutiae_cap_holds_for_sets_and_synthesis(monkeypatch):
         synthesize_subject(MAX_MINUTIAE + 1, 388, 374, seed=1)
 
 
-def test_perturb_checks_the_cap_before_drawing(monkeypatch):
-    # the count is taken before rounding collisions are removed
-    base = synthesize_subject(1000, 388, 374, seed=1)
-    at_cap = perturb(base, PerturbationProfile(drop_rate=0.1, spurious_rate=0.124, rng_seed=1))
-    assert len(at_cap) <= MAX_MINUTIAE
-
-    def no_draws(*args, **kwargs):
-        raise AssertionError("drew before checking the minutiae count")
-
-    monkeypatch.setattr(np.random, "default_rng", no_draws)
-    with pytest.raises(MinutiaeError, match=f"perturbation leaves 1100, at most {MAX_MINUTIAE}"):
-        perturb(base, PerturbationProfile(spurious_rate=0.1, rng_seed=1))
-
-
 def test_parse_names_the_first_line_past_the_cap():
     rows = [b"%d %d 0" % (k % 1000, k // 1000) for k in range(MAX_MINUTIAE + 1)]
     data = b"1000 10\n# comment\n" + b"\n".join(rows) + b"\n"
@@ -414,7 +404,7 @@ def fresh_rng(seed):
 
 
 def drawn_one_by_one(seed, n, width, height):
-    return np.array(_draw_unique(fresh_rng(seed), n, width, height, set()), dtype=np.float64).T
+    return np.array(_draw_unique(fresh_rng(seed), n, width, height), dtype=np.float64).T
 
 
 @pytest.mark.parametrize("n", [2, 16, 30, 190])
@@ -509,29 +499,26 @@ def test_synthesize_rejects_one_minutia():
 
 def test_perturb_zero_profile_is_identity():
     base = synthesize_subject(30, 388, 374, seed=5)
-    assert perturb(base, PerturbationProfile(rng_seed=3)) == base
+    assert perturb(base, PerturbationProfile(), 3) == base
 
 
 def test_perturb_deterministic_per_seed():
     base = synthesize_subject(30, 388, 374, seed=5)
-    profile = PerturbationProfile(2.0, 4.0, 0.1, 0.1, rng_seed=9)
-    assert perturb(base, profile) == perturb(base, profile)
-    other = PerturbationProfile(2.0, 4.0, 0.1, 0.1, rng_seed=10)
-    assert perturb(base, profile) != perturb(base, other)
+    profile = PerturbationProfile(2.0, 4.0, 0.1)
+    assert perturb(base, profile, 9) == perturb(base, profile, 9)
+    assert perturb(base, profile, 9) != perturb(base, profile, 10)
 
 
 def test_perturb_full_drop_errors():
     base = synthesize_subject(2, 50, 50, seed=2)
     with pytest.raises(InsufficientMinutiaeError, match="insufficient"):
-        perturb(base, PerturbationProfile(drop_rate=1.0, rng_seed=1))
+        perturb(base, PerturbationProfile(drop_rate=1.0), 1)
 
 
-def test_perturb_drop_and_spurious_counts():
+def test_perturb_drop_count():
     base = synthesize_subject(40, 388, 374, seed=6)
-    dropped = perturb(base, PerturbationProfile(drop_rate=0.25, rng_seed=1))
+    dropped = perturb(base, PerturbationProfile(drop_rate=0.25), 1)
     assert len(dropped) == 30
-    grown = perturb(base, PerturbationProfile(spurious_rate=0.25, rng_seed=1))
-    assert len(grown) == 50
 
 
 def test_perturb_mean_displacement_translation_sigma_2():
@@ -542,7 +529,7 @@ def test_perturb_mean_displacement_translation_sigma_2():
     ys = np.array([m.y for m in base.minutiae], dtype=float)
     total, count = 0.0, 0
     for trial in range(1000):
-        moved = perturb(base, PerturbationProfile(translation_sigma=2.0, rng_seed=trial))
+        moved = perturb(base, PerturbationProfile(translation_sigma=2.0), trial)
         mx = np.array([m.x for m in moved.minutiae], dtype=float)
         my = np.array([m.y for m in moved.minutiae], dtype=float)
         total += float(np.hypot(mx - xs, my - ys).sum())
@@ -559,14 +546,22 @@ def test_profile_validation():
 
 
 @pytest.mark.parametrize("field", ["translation_sigma", "rotation_sigma"])
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1e308])
 def test_profile_rejects_non_finite_sigma(field, value):
-    with pytest.raises(MinutiaeError, match="finite"):
+    # rng.normal(0, 1e308) can overflow to inf, and fmod(inf, 360) is NaN
+    with pytest.raises(MinutiaeError, match=f"^{field} must be finite and in \\[0, 1e300\\]"):
         PerturbationProfile(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["translation_sigma", "rotation_sigma"])
+def test_largest_sigma_draws_finite_minutiae(field):
+    base = synthesize_subject(30, 388, 374, seed=1)
+    moved = perturb(base, PerturbationProfile(**{field: 1e300}), 2)
+    assert np.isfinite(moved.points).all()
+
+
 def test_synthesize_dataset_shape_and_ids():
-    profile = PerturbationProfile(translation_sigma=1.0, rng_seed=0)
+    profile = PerturbationProfile(translation_sigma=1.0)
     ds = synthesize_dataset(3, 4, profile, n_minutiae=10, seed=1)
     assert len(ds) == 3 and all(len(row) == 4 for row in ds)
     assert ds[1][2].subject_id == "s0001"
@@ -575,12 +570,28 @@ def test_synthesize_dataset_shape_and_ids():
     assert ds[0][0] != ds[0][1]
 
 
+def test_synthesize_dataset_perturbs_through_perturb(monkeypatch):
+    calls = []
+    original = minutiae.perturb
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(minutiae, "perturb", counting)
+    profile = PerturbationProfile(2.0, 4.0, 0.1)
+    ds = synthesize_dataset(3, 4, profile, n_minutiae=20, seed=1)
+    assert len(calls) == 12
+    for row in ds:
+        assert [mset.impression_id for mset in row] == [0, 1, 2, 3]
+
+
 # SHA-256 of the concatenated ``serialize_minutiae`` output over every set of
 # each ``pinned_galleries`` entry, computed with the per-minutia loop below
 PERTURB_PINS = {
     "cli": "1aadb9913b41624e3423a3c0ba5108153292889b3350bdd4d27f71cd11e96ad2",
-    "harsh": "f6410979e0d0390c776790c91895c218607d6c56f2819fb7ab5dd3fdcb8f7ffa",
-    "collide": "9c0dc673042ed52155ca0262a3a06891762aad129f925461bb03fbfbab441fd6",
+    "harsh": "7c629eaba01534601a8ec54e69348562ed26de88dff88efa72efaa2980fe7248",
+    "collide": "8dbcd08ccabb11c0430c8038e25442b1143540ff376daacf70015729efa3ada8",
     "edge": "5524581a00bc6b9e000bec38a5abb75711c4f81f23913b3218c5db0f64db5c4d",
 }
 
@@ -591,10 +602,10 @@ def test_perturbed_gallery_frozen_reference(pinned_galleries, name):
     assert hashlib.sha256(blob).hexdigest() == PERTURB_PINS[name]
 
 
-def perturb_per_minutia(mset: MinutiaeSet, profile: PerturbationProfile) -> MinutiaeSet:
+def perturb_per_minutia(mset: MinutiaeSet, profile: PerturbationProfile, seed: int) -> MinutiaeSet:
     """Reference perturbation: one minutia at a time, with Python ``round``,
     scalar ``np.clip`` and ``normalize_degrees``; same RNG draw order."""
-    rng = np.random.default_rng(np.random.SeedSequence(profile.rng_seed))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     n = len(mset.minutiae)
 
     dx = rng.normal(0.0, profile.translation_sigma, size=n)
@@ -611,18 +622,6 @@ def perturb_per_minutia(mset: MinutiaeSet, profile: PerturbationProfile) -> Minu
     if n_drop:
         drop = set(rng.choice(n, size=n_drop, replace=False).tolist())
         moved = [m for i, m in enumerate(moved) if i not in drop]
-
-    n_spurious = int(round(profile.spurious_rate * n))
-    seen = {(m.x, m.y, m.theta) for m in moved}
-    for _ in range(n_spurious):
-        while True:
-            x = int(rng.integers(0, mset.width, endpoint=True))
-            y = int(rng.integers(0, mset.height, endpoint=True))
-            theta = normalize_degrees(rng.uniform(0.0, 360.0))
-            if (x, y, theta) not in seen:
-                break
-        seen.add((x, y, theta))
-        moved.append(Minutia(x, y, theta))
 
     unique: list[Minutia] = []
     kept: set[tuple[int, int, float]] = set()
@@ -661,24 +660,22 @@ def perturb_inputs(draw):
         translation_sigma=draw(st.sampled_from([0.0, 0.5, 2.0, 30.0])),
         rotation_sigma=draw(st.sampled_from([0.0, 1e-9, 4.0, 400.0])),
         drop_rate=draw(st.floats(0.0, 1.0)),
-        spurious_rate=draw(st.floats(0.0, 1.0)),
-        rng_seed=draw(st.integers(0, 2**32)),
     )
     mset = MinutiaeSet("h", 0, width, height, tuple(Minutia(*p) for p in pts))
-    return mset, profile
+    return mset, profile, draw(st.integers(0, 2**32))
 
 
 @given(perturb_inputs())
 @settings(max_examples=150, deadline=None)
 def test_perturb_matches_per_minutia_path(args):
-    mset, profile = args
+    mset, profile, seed = args
     try:
-        expected = perturb_per_minutia(mset, profile)
+        expected = perturb_per_minutia(mset, profile, seed)
     except InsufficientMinutiaeError:
         with pytest.raises(InsufficientMinutiaeError):
-            perturb(mset, profile)
+            perturb(mset, profile, seed)
         return
-    got = perturb(mset, profile)
+    got = perturb(mset, profile, seed)
     assert got == expected
     assert serialize_minutiae(got) == serialize_minutiae(expected)
     # same values, same types: repr tells 0.0 from -0.0 and int from float
