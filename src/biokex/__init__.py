@@ -8,7 +8,6 @@ statistical evaluation harness.
 """
 
 from .minutiae import (
-    Minutia,
     MinutiaeSet,
     PerturbationProfile,
     parse_minutiae_file,

@@ -117,20 +117,6 @@ class FeatureBitString:
         bytes with bit 0 as the most significant bit of byte 0."""
         return struct.pack(">I", len(self)) + np.packbits(self.bits, bitorder="big").tobytes()
 
-    @classmethod
-    def deserialize(cls, blob: bytes) -> "FeatureBitString":
-        if len(blob) < 4:
-            raise FeatureError("truncated bit string blob")
-        (nbits,) = struct.unpack(">I", blob[:4])
-        n_p = nbits.bit_length() - 1
-        if nbits <= 0 or (1 << n_p) != nbits:
-            raise FeatureError(f"bit count {nbits} is not a power of two")
-        expected = (nbits + 7) // 8
-        if len(blob) != 4 + expected:
-            raise FeatureError(f"expected {expected} packed bytes, got {len(blob) - 4}")
-        bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8, offset=4), bitorder="big")
-        return cls(bits[:nbits], n_p)
-
 
 def pair_triplet(
     xi: float, yi: float, theta_i: float, xj: float, yj: float, theta_j: float

@@ -9,14 +9,11 @@ image processing is out of scope. The text format is the ingestion boundary:
 
 Angles are degrees, normalized into [0, 360) at parse time. Widths, heights
 and coordinates are at most ``MAX_COORDINATE`` (2**31 - 1), and a set holds
-at most ``MAX_MINUTIAE`` (1024) minutiae. A :class:`MinutiaeSet` holds its
-minutiae as one read-only (3, n) float64 array, validated once on
-construction. Parsing, synthesis and perturbation hand it plain tuples or an
-array, so no per-minutia object exists on the evaluation path.
-:class:`Minutia`, a validated ``(x, y, theta)`` named tuple, is the element
-type of ``MinutiaeSet.minutiae``, built on demand. All types are immutable
-after construction and every operation here is a pure function, so
-concurrent use needs no locking.
+at most ``MAX_MINUTIAE`` (1024) minutiae. A :class:`MinutiaeSet` is one
+validated, read-only (3, n) float64 array of x, y and theta rows; parsing,
+synthesis and perturbation each build that array, and no per-minutia object
+exists. All types are immutable after construction and every operation here
+is a pure function, so concurrent use needs no locking.
 
 A synthetic capture is a subject from :func:`synthesize_subject`, moved by
 :func:`perturb` under a :class:`PerturbationProfile`: a translation sigma, a
@@ -27,9 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import namedtuple
-from collections.abc import Sequence
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +33,6 @@ __all__ = [
     "MAX_MINUTIAE",
     "SENSOR_WIDTH",
     "SENSOR_HEIGHT",
-    "Minutia",
     "MinutiaeSet",
     "PerturbationProfile",
     "MinutiaeError",
@@ -92,32 +86,6 @@ def normalize_degrees(theta: float) -> float:
     return 0.0 if t >= 360.0 else t
 
 
-class Minutia(namedtuple("Minutia", "x y theta")):
-    """A single ridge feature: pixel position plus orientation in degrees.
-
-    An immutable ``(x, y, theta)`` tuple: x and y coerce to ``int`` in
-    [0, MAX_COORDINATE], theta to ``float`` in [0, 360). As a tuple it has no
-    per-instance ``__dict__``, and it equals the plain tuple of its fields.
-    A :class:`MinutiaeSet` does not store these; it builds them on demand.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, x, y, theta):
-        x, y, theta = int(x), int(y), float(theta)
-        if not (0 <= x <= MAX_COORDINATE and 0 <= y <= MAX_COORDINATE):
-            raise MinutiaeError(f"coordinate ({x}, {y}) outside [0, {MAX_COORDINATE}]")
-        # also false for NaN and both infinities
-        if not 0.0 <= theta < 360.0:
-            raise MinutiaeError(f"theta {theta!r} not in [0, 360)")
-        return tuple.__new__(cls, (x, y, theta))
-
-    @classmethod
-    def _make(cls, iterable):
-        # the namedtuple default skips __new__; ``_replace`` also goes through here
-        return cls(*iterable)
-
-
 def _check_image_size(width: int, height: int) -> None:
     if width <= 0 or height <= 0:
         raise MinutiaeError(f"non-positive image size {width}x{height}")
@@ -148,42 +116,39 @@ def _repeats(pts: np.ndarray) -> np.ndarray:
     return order[1:][eq[0] & eq[1] & eq[2]]
 
 
-def _checked_points(minutiae, width: int, height: int) -> np.ndarray:
-    """The read-only (3, n) float64 array of a set's minutiae, validated.
+def _checked_points(points, width: int, height: int) -> np.ndarray:
+    """A read-only float64 copy of ``points``, a (3, n) array of x, y and
+    theta rows, validated.
 
-    ``minutiae`` is a (3, n) array or a sequence of :class:`Minutia` or
-    (x, y, theta) triples. Each column is coerced and checked as
-    ``Minutia(x, y, theta)`` would be, then the set as a whole: image size,
-    at least two and at most ``MAX_MINUTIAE`` minutiae, every minutia inside
-    the image, no duplicates. An input that breaks several rules raises for
-    the first in that order, and within a rule for the first offending
-    minutia in source order.
+    x and y truncate toward zero. Each minutia must have both coordinates in
+    [0, MAX_COORDINATE] and theta in [0, 360); then the set as a whole needs
+    a valid image size, at least two and at most ``MAX_MINUTIAE`` minutiae,
+    every minutia inside the image and no duplicates. An input that breaks
+    several rules raises for the first in that order, and within a rule for
+    the first offending minutia in source order.
     """
-    if isinstance(minutiae, np.ndarray):
-        pts = np.array(minutiae, dtype=np.float64, order="C")
-        if pts.ndim != 2 or pts.shape[0] != 3:
-            raise MinutiaeError(f"minutiae array of shape {pts.shape}, expected (3, n)")
-        rows = minutiae.T
-    else:
-        rows = tuple(minutiae)
-        try:
-            pts = np.array(list(zip(*rows, strict=True)), dtype=np.float64).reshape(3, len(rows))
-        except (TypeError, ValueError, OverflowError):
-            # rows that are not triples of numbers: Minutia coerces or rejects each
-            rows = [Minutia(*r) for r in rows]
-            pts = np.array(list(zip(*rows)), dtype=np.float64).reshape(3, len(rows))
+    try:
+        pts = np.array(points, dtype=np.float64, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MinutiaeError(f"minutiae are not an array of numbers: {exc}") from None
+    if pts.ndim != 2 or pts.shape[0] != 3:
+        raise MinutiaeError(f"minutiae array of shape {pts.shape}, expected (3, n)")
     xy = pts[:2]
-    # int() truncates; adding 0.0 turns the -0.0 of truncating (-1, 0) into 0.0
+    # truncate as int() does; adding 0.0 turns the -0.0 of truncating -0.5 into 0.0
     np.trunc(xy, out=xy)
     xy += 0.0
     (x_lo, y_lo, t_lo), (x_hi, y_hi, t_hi) = (
         pts.min(axis=1, initial=0.0).tolist(), pts.max(axis=1, initial=0.0).tolist()
     )
-    # NaN fails every comparison, as in Minutia
+    # NaN fails every comparison
     if not (x_lo >= 0.0 and y_lo >= 0.0 and t_lo >= 0.0
             and x_hi <= MAX_COORDINATE and y_hi <= MAX_COORDINATE and t_hi < 360.0):
-        for r in rows:
-            Minutia(*r)  # raises for the first minutia it rejects
+        xy_ok = ((xy >= 0.0) & (xy <= MAX_COORDINATE)).all(axis=0)
+        k = int(np.argmin(xy_ok & (pts[2] >= 0.0) & (pts[2] < 360.0)))
+        x, y, t = pts[:, k].tolist()
+        if not xy_ok[k]:
+            raise MinutiaeError(f"coordinate ({x:.0f}, {y:.0f}) outside [0, {MAX_COORDINATE}]")
+        raise MinutiaeError(f"theta {t!r} not in [0, 360)")
 
     _check_image_size(width, height)
     n = pts.shape[1]
@@ -207,29 +172,23 @@ def _checked_points(minutiae, width: int, height: int) -> np.ndarray:
 class MinutiaeSet:
     """One impression's minutiae with capture metadata.
 
-    The minutiae are stored as ``points``, one read-only (3, n) float64 array
-    whose rows are the x, y and theta of every minutia, in source order; no
-    per-minutia object is kept. The constructor takes that array or a
-    sequence of :class:`Minutia` or (x, y, theta) triples, and validates it
-    once: a valid image size, at least two minutiae (otherwise no pair vector
-    exists) and at most ``MAX_MINUTIAE``, each inside the image, and no exact
-    duplicates (as tuples, so 0.0 equals -0.0). ``minutiae`` builds the tuple
-    of :class:`Minutia` on demand. Two sets are equal when their metadata and
-    minutiae are.
+    ``points`` is one validated, read-only (3, n) float64 array whose rows
+    are the x, y and theta of every minutia, in source order. The
+    constructor takes any (3, n) array-like and stores a checked copy: a
+    valid image size, at least two minutiae (otherwise no pair vector
+    exists) and at most ``MAX_MINUTIAE``, each inside the image, and no
+    exact duplicates (as tuples, so 0.0 equals -0.0). Two sets are equal
+    when their metadata and points are.
     """
 
     subject_id: str
     impression_id: int
     width: int
     height: int
-    minutiae: InitVar[Sequence[tuple[int, int, float]] | np.ndarray] = ()
-    points: np.ndarray = field(init=False, repr=False)
+    points: np.ndarray = field(repr=False)
 
-    def __post_init__(self, minutiae):
-        object.__setattr__(self, "points", _checked_points(minutiae, self.width, self.height))
-
-    def _minutiae(self) -> tuple[Minutia, ...]:
-        return tuple(map(Minutia, *self.points.tolist()))
+    def __post_init__(self):
+        object.__setattr__(self, "points", _checked_points(self.points, self.width, self.height))
 
     def __len__(self) -> int:
         return self.points.shape[1]
@@ -249,11 +208,6 @@ class MinutiaeSet:
     def __reduce__(self):
         # copies and unpickled sets go through validation and stay read-only
         return self.__class__, (*self._key(), self.points)
-
-
-# set after the dataclass is built, so that the ``minutiae`` InitVar keeps its
-# default; ``replace(mset, ...)`` reads the minutiae here
-MinutiaeSet.minutiae = property(MinutiaeSet._minutiae, doc="Tuple of Minutia, built on access.")
 
 
 @dataclass(frozen=True)
@@ -358,7 +312,7 @@ def parse_minutiae_file(
         raise MinutiaeParseError(
             last_line, f"insufficient minutiae: found {len(minutiae)}, need at least 2"
         )
-    return MinutiaeSet(subject_id, impression_id, width, height, minutiae)
+    return MinutiaeSet(subject_id, impression_id, width, height, np.array(minutiae).T)
 
 
 def synthesize_subject(
@@ -392,7 +346,7 @@ def synthesize_subject(
     )
     if minutiae is None:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        minutiae = _draw_unique(rng, n_minutiae, width, height)
+        minutiae = np.array(_draw_unique(rng, n_minutiae, width, height)).T
     sid = subject_id if subject_id is not None else f"synth-{seed}"
     return MinutiaeSet(sid, 0, width, height, minutiae)
 

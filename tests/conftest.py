@@ -10,7 +10,6 @@ import biokex
 from biokex import _openssl, netsim
 from biokex.features import QuantizationConfig
 from biokex.minutiae import (
-    Minutia,
     MinutiaeSet,
     PerturbationProfile,
     perturb,
@@ -130,7 +129,7 @@ def pinned_galleries():
 
     grid = MinutiaeSet(
         "grid", 0, 8, 8,
-        tuple(Minutia(x, y, 90.0) for x in range(0, 9, 2) for y in range(0, 9, 2)),
+        np.array([(x, y, 90.0) for x in range(0, 9, 2) for y in range(0, 9, 2)]).T,
     )
     two = synthesize_subject(2, 388, 374, seed=3)
     return {
@@ -145,9 +144,6 @@ def pinned_galleries():
         "edge": [
             two,
             perturb(two, PerturbationProfile(2.0, 4.0), 5),
-            MinutiaeSet(
-                "d", 0, 10, 10,
-                (Minutia(5, 5, 0.0), Minutia(5, 5, 90.0), Minutia(7, 5, 10.0)),
-            ),
+            MinutiaeSet("d", 0, 10, 10, [[5, 5, 7], [5, 5, 5], [0.0, 90.0, 10.0]]),
         ],
     }

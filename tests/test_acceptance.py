@@ -29,7 +29,7 @@ from biokex.keyagree import (
     public_key,
     shared_secret,
 )
-from biokex.minutiae import Minutia, MinutiaeSet, PerturbationProfile, synthesize_dataset, synthesize_subject
+from biokex.minutiae import MinutiaeSet, PerturbationProfile, synthesize_dataset, synthesize_subject
 from biokex.netsim import (
     AdversaryMode, Scenario, make_enrolled_party, make_environment, run_scenario,
 )
@@ -234,15 +234,11 @@ def test_criterion_09_structural_properties():
 
         # translation invariance, exact within 1e-9 / 1e-6
         base = synthesize_subject(12, 200, 200, seed=9090)
-        shifted = MinutiaeSet(
-            "t", 0, 500, 500,
-            tuple(Minutia(m.x + 211, m.y + 153, m.theta) for m in base.minutiae),
-        )
-        for m1, m2, n1, n2 in zip(
-            base.minutiae, base.minutiae[1:], shifted.minutiae, shifted.minutiae[1:]
-        ):
-            t_a = pair_triplet(m1.x, m1.y, m1.theta, m2.x, m2.y, m2.theta)
-            t_b = pair_triplet(n1.x, n1.y, n1.theta, n2.x, n2.y, n2.theta)
+        shifted = MinutiaeSet("t", 0, 500, 500, base.points + [[211], [153], [0.0]])
+        ms, ns = base.points.T.tolist(), shifted.points.T.tolist()
+        for m1, m2, n1, n2 in zip(ms, ms[1:], ns, ns[1:]):
+            t_a = pair_triplet(*m1, *m2)
+            t_b = pair_triplet(*n1, *n2)
             assert abs(t_a[0] - t_b[0]) <= 1e-9
             assert abs(t_a[1] - t_b[1]) <= 1e-6
             assert abs(t_a[2] - t_b[2]) <= 1e-6

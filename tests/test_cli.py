@@ -14,7 +14,9 @@ from biokex import netsim
 from biokex.cli import EXIT_DATA, EXIT_USAGE, dispatch
 from biokex.evaluation import ROC_CSV_HEADER
 from biokex.features import QuantizationConfig, extract_features
-from biokex.minutiae import PerturbationProfile, synthesize_dataset
+from biokex.minutiae import (
+    PerturbationProfile, serialize_minutiae, synthesize_dataset, synthesize_subject,
+)
 from biokex.pipeline import revocable_template
 from biokex.transform import TransformationKey
 
@@ -162,6 +164,14 @@ def test_keygen_from_minutiae_file(tmp_path):
     proc = run_cli(["keygen", "--minutiae-file", "probe.txt", "--seed", "3"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "minutiae=20" in proc.stdout
+
+
+def test_keygen_from_a_written_subject_prints_the_synthetic_bytes(tmp_path):
+    # the parser's rows and the synthetic draw reach the same (3, n) points
+    (tmp_path / "subject.txt").write_bytes(serialize_minutiae(synthesize_subject(30, 388, 374, 3)))
+    proc = run_cli(["keygen", "--minutiae-file", "subject.txt", "--seed", "3"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == KEYGEN_SEED3_STDOUT
 
 
 @pytest.mark.parametrize("header, row", [(b"388 374", b"%d 5 10" % 10**400),

@@ -27,7 +27,7 @@ from biokex.evaluation import (
     write_roc_csv,
 )
 from biokex.features import FeatureError, QuantizationConfig
-from biokex.minutiae import Minutia, MinutiaeSet, PerturbationProfile, synthesize_dataset
+from biokex.minutiae import MinutiaeSet, PerturbationProfile, synthesize_dataset
 from biokex.pipeline import private_key_from_minutiae, revocable_template
 from biokex.transform import TransformationKey
 
@@ -407,7 +407,7 @@ def test_forked_extraction_fails_as_serial(packed_with, cfg12, subject):
     # two minutiae at one position: no pair has a direction
     dataset = [list(row) for row in _gallery(5)]
     dataset[subject][1] = MinutiaeSet(
-        dataset[subject][1].subject_id, 1, 10, 10, (Minutia(5, 5, 0.0), Minutia(5, 5, 180.0))
+        dataset[subject][1].subject_id, 1, 10, 10, [[5, 5], [5, 5], [0.0, 180.0]]
     )
     with pytest.raises(FeatureError) as serial:
         packed_with(False, dataset, 3, cfg12)

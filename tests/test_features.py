@@ -16,7 +16,7 @@ from biokex.features import (
     _pair_indices,
     _wrap360,
 )
-from biokex.minutiae import MAX_COORDINATE, Minutia, MinutiaeSet, synthesize_subject
+from biokex.minutiae import MAX_COORDINATE, MinutiaeSet, synthesize_subject
 
 # hand trigonometry oracle: dx=3, dy=4, theta_i=0 gives X=3, Y=-4,
 # atan2(-4, 3) = -53.1301...deg -> alpha 306.8699, beta = alpha + 90
@@ -28,7 +28,7 @@ CFG320 = QuantizationConfig(5, 5, 5, l_max=320.0)
 def pair_triplets(mset):
     """:func:`pair_triplet` of every unordered pair in (i, j) order, i < j,
     skipping the pairs whose positions coincide."""
-    for m_i, m_j in itertools.combinations(mset.minutiae, 2):
+    for m_i, m_j in itertools.combinations(mset.points.T.tolist(), 2):
         try:
             yield pair_triplet(*m_i, *m_j)
         except DegeneratePairError:
@@ -49,7 +49,7 @@ def extract_features_per_pair(mset, cfg):
 
 
 def _pair_set(*minutiae):
-    return MinutiaeSet("p", 0, 2000, 2000, tuple(Minutia(*m) for m in minutiae))
+    return MinutiaeSet("p", 0, 2000, 2000, np.array(minutiae).T)
 
 
 def _codes(mset, cfg=CFG320):
@@ -168,10 +168,7 @@ def test_extract_matches_per_pair_path():
 
 def test_translation_invariance_exact():
     mset = synthesize_subject(15, 200, 200, seed=9)
-    shifted = MinutiaeSet(
-        "t", 0, 400, 400,
-        tuple(Minutia(m.x + 113, m.y + 87, m.theta) for m in mset.minutiae),
-    )
+    shifted = MinutiaeSet("t", 0, 400, 400, mset.points + [[113], [87], [0.0]])
     assert list(pair_triplets(shifted)) == list(pair_triplets(mset))
 
 
@@ -212,10 +209,8 @@ def test_rotation_invariance_quarter_turns_on_minutiae():
     # a counter-clockwise quarter turn about the image center keeps integer
     # coordinates exact: (x, y) -> (200 - y, x), theta + 90
     mset = synthesize_subject(12, 200, 200, seed=21)
-    rotated = MinutiaeSet(
-        "r", 0, 200, 200,
-        tuple(Minutia(200 - m.y, m.x, (m.theta + 90.0) % 360.0) for m in mset.minutiae),
-    )
+    xs, ys, thetas = mset.points
+    rotated = MinutiaeSet("r", 0, 200, 200, [200 - ys, xs, (thetas + 90.0) % 360.0])
     for p, q in zip(pair_triplets(mset), pair_triplets(rotated), strict=True):
         assert q[0] == pytest.approx(p[0], abs=1e-9)
         assert _angle_close(q[1], p[1], 1e-6)
@@ -228,14 +223,7 @@ def test_serialize_roundtrip():
     blob = fbs.serialize()
     assert blob[:4] == (1 << 15).to_bytes(4, "big")
     assert len(blob) == 4 + (1 << 15) // 8
-    assert FeatureBitString.deserialize(blob) == fbs
-
-
-def test_deserialize_rejects_garbage():
-    with pytest.raises(FeatureError):
-        FeatureBitString.deserialize(b"\x00\x00\x00\x07\x00")
-    with pytest.raises(FeatureError):
-        FeatureBitString.deserialize((1 << 12).to_bytes(4, "big") + b"\x00" * 7)
+    assert np.unpackbits(np.frombuffer(blob[4:], dtype=np.uint8)).tolist() == fbs.bits.tolist()
 
 
 def test_config_validation():
@@ -319,16 +307,14 @@ def crowded_sets(draw):
             unique=True,
         )
     )
-    return MinutiaeSet("c", 0, side, side, tuple(Minutia(*p) for p in pts))
+    return MinutiaeSet("c", 0, side, side, np.array(pts).T)
 
 
 def extract_features_per_pair_trig(mset, cfg):
     """Reference extraction: radians, cosine and sine evaluated per pair, L
     from ``np.hypot``, angles reduced with ``%``, all in fresh arrays."""
-    xs = np.array([m.x for m in mset.minutiae], dtype=np.float64)
-    ys = np.array([m.y for m in mset.minutiae], dtype=np.float64)
-    th = np.array([m.theta for m in mset.minutiae], dtype=np.float64)
-    i_idx, j_idx = np.triu_indices(len(mset.minutiae), k=1)
+    xs, ys, th = mset.points
+    i_idx, j_idx = np.triu_indices(len(mset), k=1)
     dx = xs[j_idx] - xs[i_idx]
     dy = ys[j_idx] - ys[i_idx]
     ti = np.radians(th[i_idx])
@@ -390,7 +376,7 @@ def crowded_integer_degree_sets(draw):
             unique=True,
         )
     )
-    return MinutiaeSet("c", 0, side, side, tuple(Minutia(*p) for p in pts))
+    return MinutiaeSet("c", 0, side, side, np.array(pts).T)
 
 
 @given(crowded_integer_degree_sets(), st.sampled_from([12, 15]))
@@ -413,8 +399,8 @@ def test_extract_matches_hypot_reference_on_length_edges(theta, n_p):
     cfg = QuantizationConfig.for_np(n_p)
     mset = MinutiaeSet(
         "e", 0, 600, 600,
-        (Minutia(300, 300, theta),)
-        + tuple(Minutia(300 + dx, 300 + dy, 0.0) for dx, dy in LENGTH_EDGE_OFFSETS),
+        np.array([(300, 300, theta)]
+                 + [(300 + dx, 300 + dy, 0.0) for dx, dy in LENGTH_EDGE_OFFSETS]).T,
     )
     assert extract_features(mset, cfg) == extract_features_per_pair_trig(mset, cfg)
 
@@ -424,7 +410,7 @@ def test_extract_matches_hypot_reference_at_the_coordinate_bound(l_max):
     b = MAX_COORDINATE
     corners = [(0, 0), (b, b), (b, 0), (0, b), (b // 2, b // 3), (b - 1, b)]
     mset = MinutiaeSet(
-        "b", 0, b, b, tuple(Minutia(x, y, 45.0 * k) for k, (x, y) in enumerate(corners))
+        "b", 0, b, b, np.array([(x, y, 45.0 * k) for k, (x, y) in enumerate(corners)]).T
     )
     for n_p in (12, 15, 24):
         cfg = QuantizationConfig.for_np(n_p, l_max=l_max)

@@ -1,19 +1,17 @@
 import hashlib
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from biokex import minutiae
-from biokex.features import QuantizationConfig, extract_features
 from biokex.minutiae import (
     MAX_COORDINATE,
     MAX_MINUTIAE,
     InsufficientMinutiaeError,
-    Minutia,
     MinutiaeError,
     MinutiaeParseError,
     MinutiaeSet,
@@ -36,8 +34,7 @@ def test_parse_simple_file():
     mset = parse_minutiae_file(SIMPLE_FILE)
     assert mset.width == 388 and mset.height == 374
     assert len(mset) == 2
-    assert mset.minutiae[0] == Minutia(100, 100, 0.0)
-    assert mset.minutiae[1] == Minutia(103, 104, 90.0)
+    assert mset.points.T.tolist() == [[100, 100, 0.0], [103, 104, 90.0]]
 
 
 def test_parse_serialize_byte_roundtrip():
@@ -52,7 +49,7 @@ def test_parse_single_minutia_rejected():
 
 def test_parse_normalizes_angle_mod_360():
     mset = parse_minutiae_file(b"388 374\n100 100 450\n200 200 10\n")
-    assert mset.minutiae[0].theta == 90.0
+    assert mset.points[2, 0] == 90.0
 
 
 def test_parse_comments_and_blank_lines_ignored():
@@ -113,7 +110,7 @@ def canonical_sets(draw):
             unique=True,
         )
     )
-    return MinutiaeSet("h", 0, width, height, tuple(Minutia(*p) for p in pts))
+    return MinutiaeSet("h", 0, width, height, np.array(pts).T)
 
 
 @given(canonical_sets())
@@ -127,39 +124,45 @@ def test_serialize_parse_roundtrip(mset):
 
 def test_parse_accepts_coordinates_at_the_bound():
     mset = parse_minutiae_file(b"%d %d\n0 0 0\n%d %d 90\n" % ((MAX_COORDINATE,) * 4))
-    assert mset.minutiae[1] == Minutia(MAX_COORDINATE, MAX_COORDINATE, 90.0)
+    assert mset.points[:, 1].tolist() == [MAX_COORDINATE, MAX_COORDINATE, 90.0]
 
 
 def test_minutia_fields_and_immutability():
-    m = Minutia(3, 4, 5.5)
-    assert (m.x, m.y, m.theta) == (3, 4, 5.5)
+    assert [f.name for f in fields(MinutiaeSet)] == [
+        "subject_id", "impression_id", "width", "height", "points"
+    ]
+    assert not hasattr(MinutiaeSet, "minutiae")
+    mset = MinutiaeSet("s", 0, 10, 10, [[3, 1], [4, 2], [5.5, 0.0]])
     with pytest.raises(AttributeError):
-        m.x = 7
-    with pytest.raises(AttributeError):
-        m.extra = 1
-    assert repr(m) == "Minutia(x=3, y=4, theta=5.5)"
-    assert Minutia(*m) == m
+        mset.points = np.zeros((3, 2))
+    with pytest.raises(ValueError):
+        mset.points[0, 0] = 7.0
+    assert repr(mset) == "MinutiaeSet(subject_id='s', impression_id=0, width=10, height=10)"
 
 
 def test_minutia_equality_and_hash():
-    a, b = Minutia(3, 4, 5.5), Minutia(3.0, 4, 5.5)
+    a = MinutiaeSet("s", 0, 10, 10, [[3, 1], [4, 2], [5.5, 0.0]])
+    b = MinutiaeSet("s", 0, 10, 10, np.array([[3.0, 1], [4, 2], [5.5, -0.0]]))
     assert a == b and hash(a) == hash(b)
-    assert len({a, b, Minutia(3, 4, 6.0)}) == 2
-    assert a != Minutia(4, 3, 5.5)
-    # a Minutia is a tuple: it also equals the plain tuple of its fields
-    assert a == (3, 4, 5.5) and hash(a) == hash((3, 4, 5.5))
+    assert len({a, b, MinutiaeSet("s", 0, 10, 10, [[3, 1], [4, 2], [6.0, 0.0]])}) == 2
+    assert a != MinutiaeSet("s", 0, 10, 10, [[4, 1], [3, 2], [5.5, 0.0]])
+    assert a != replace(a, impression_id=1)
 
 
 def test_minutia_pickle_roundtrip():
-    m = Minutia(388, 0, 359.5)
-    back = pickle.loads(pickle.dumps(m))
-    assert type(back) is Minutia and back == m
+    mset = MinutiaeSet("s", 2, 388, 374, [[388, 0], [0, 374], [359.5, 0.0]])
+    back = pickle.loads(pickle.dumps(mset))
+    assert type(back) is MinutiaeSet and back == mset and hash(back) == hash(mset)
+    assert not back.points.flags.writeable
 
 
 def test_minutia_coerces_numpy_scalars():
-    m = Minutia(np.int64(7), np.uint16(8), np.float32(90.5))
-    assert type(m.x) is int and type(m.y) is int and type(m.theta) is float
-    assert m == Minutia(7, 8, 90.5)
+    points = np.array([[np.int64(7), np.uint16(8)], [np.uint16(8), np.int64(7)],
+                       [np.float32(90.5), np.float32(0.25)]], dtype=object)
+    mset = MinutiaeSet("s", 0, 10, 10, points)
+    assert mset.points.dtype == np.float64
+    assert mset.points.tolist() == [[7, 8], [8, 7], [90.5, 0.25]]
+    assert MinutiaeSet("s", 0, 10, 10, points.astype(np.float32)) == mset
 
 
 @pytest.mark.parametrize(
@@ -177,42 +180,70 @@ def test_minutia_coerces_numpy_scalars():
     ],
 )
 def test_minutia_rejects_out_of_range(x, y, theta):
-    with pytest.raises(MinutiaeError):
-        Minutia(x, y, theta)
+    # the offending minutia comes first; 10**400 is no float64 at all
+    points = np.array([[x, 1], [y, 1], [theta, 0.0]])
+    with pytest.raises(MinutiaeError, match="^(coordinate|theta|minutiae are not)"):
+        MinutiaeSet("s", 0, MAX_COORDINATE, MAX_COORDINATE, points)
 
 
 def test_minutia_replace_validates():
-    m = Minutia(1, 2, 3.0)
-    assert m._replace(theta=4.0) == Minutia(1, 2, 4.0)
-    with pytest.raises(MinutiaeError):
-        m._replace(theta=360.0)
+    mset = MinutiaeSet("s", 0, 10, 10, np.array([[1, 2], [2, 1], [3.0, 0.0]]))
+    moved = replace(mset, points=np.array([[1, 2], [2, 1], [4.0, 0.0]]))
+    assert moved.points[:, 0].tolist() == [1, 2, 4.0] and not moved.points.flags.writeable
+    with pytest.raises(MinutiaeError, match="theta 360.0 not in"):
+        replace(mset, points=np.array([[1, 2], [2, 1], [360.0, 0.0]]))
+    with pytest.raises(MinutiaeError, match="duplicate"):
+        replace(mset, points=np.array([[1, 1], [2, 2], [3.0, 3.0]]))
 
 
 def test_minutia_accepts_the_bound():
-    m = Minutia(MAX_COORDINATE, MAX_COORDINATE, 0.0)
-    assert m.x == m.y == MAX_COORDINATE == 2**31 - 1
+    mset = MinutiaeSet("s", 0, MAX_COORDINATE, MAX_COORDINATE,
+                       np.array([[MAX_COORDINATE, 0], [MAX_COORDINATE, 0], [0.0, 0.0]]))
+    assert mset.points[:2, 0].tolist() == [MAX_COORDINATE] * 2 == [2**31 - 1] * 2
+
+
+@pytest.mark.parametrize("points", [
+    np.array([[1, math.inf], [2, 2], [0, 0]]),
+    np.array([[1, 1], [2, -math.inf], [0, 0]]),
+    np.array([[1, math.nan], [2, 2], [0, 0]]),
+    [[1, 2], [3, 4], [0]],
+    [[1, 2], [3, "a"], [0, 0]],
+    [[0, 1], [10**400, 2], [0, 0]],
+    [(1, 2), (3, 4)],
+    "abc",
+], ids=["inf", "-inf", "nan", "ragged", "string", "10**400", "two-rows", "text"])
+def test_malformed_points_raise_minutiae_error(points):
+    with pytest.raises(MinutiaeError, match="^(coordinate|minutiae)"):
+        MinutiaeSet("s", 0, 10, 10, points)
 
 
 @pytest.mark.parametrize("width, height", [(MAX_COORDINATE + 1, 10), (10, 10**400)])
 def test_minutiae_set_rejects_oversized_image(width, height):
     with pytest.raises(MinutiaeError, match="above"):
-        MinutiaeSet("s", 0, width, height, (Minutia(1, 1, 0.0), Minutia(2, 2, 0.0)))
+        MinutiaeSet("s", 0, width, height, [[1, 2], [1, 2], [0.0, 0.0]])
 
 
 def test_minutiae_set_rejects_duplicates():
     with pytest.raises(MinutiaeError, match="duplicate"):
-        MinutiaeSet("s", 0, 10, 10, (Minutia(1, 1, 0.0), Minutia(1, 1, 0.0)))
+        MinutiaeSet("s", 0, 10, 10, [[1, 1], [1, 1], [0.0, 0.0]])
 
 
 def test_minutiae_set_needs_two():
     with pytest.raises(InsufficientMinutiaeError):
-        MinutiaeSet("s", 0, 10, 10, (Minutia(1, 1, 0.0),))
+        MinutiaeSet("s", 0, 10, 10, [[1], [1], [0.0]])
 
 
 def checked_per_minutia(width, height, rows):
-    """Reference validation: each row made a :class:`Minutia` by the caller,
-    then the per-minutia loop ``MinutiaeSet`` ran on a tuple of them."""
-    minutiae = tuple(Minutia(*r) for r in rows)
+    """Reference validation, one (x, y, theta) row at a time: x and y
+    truncate as int() does, then each minutia's range, then the set."""
+    minutiae = []
+    for x, y, theta in rows:
+        x, y = (math.trunc(v) if math.isfinite(v) else v for v in (x, y))
+        if not (0 <= x <= MAX_COORDINATE and 0 <= y <= MAX_COORDINATE):
+            raise MinutiaeError(f"coordinate ({x}, {y}) outside [0, {MAX_COORDINATE}]")
+        if not 0.0 <= theta < 360.0:
+            raise MinutiaeError(f"theta {float(theta)!r} not in [0, 360)")
+        minutiae.append((x, y, float(theta)))
     if width <= 0 or height <= 0:
         raise MinutiaeError(f"non-positive image size {width}x{height}")
     if width > MAX_COORDINATE or height > MAX_COORDINATE:
@@ -224,13 +255,13 @@ def checked_per_minutia(width, height, rows):
     if len(minutiae) > MAX_MINUTIAE:
         raise MinutiaeError(f"too many minutiae: found {len(minutiae)}, at most {MAX_MINUTIAE}")
     seen = set()
-    for m in minutiae:
-        if m.x > width or m.y > height:
-            raise MinutiaeError(f"minutia ({m.x}, {m.y}) outside {width}x{height} image")
-        if m in seen:
-            raise MinutiaeError(f"duplicate minutia {tuple(m)}")
-        seen.add(m)
-    return minutiae
+    for x, y, theta in minutiae:
+        if x > width or y > height:
+            raise MinutiaeError(f"minutia ({x}, {y}) outside {width}x{height} image")
+        if (x, y, theta) in seen:
+            raise MinutiaeError(f"duplicate minutia {(x, y, theta)}")
+        seen.add((x, y, theta))
+    return [(float(x), float(y), theta) for x, y, theta in minutiae]
 
 
 def outcome(build):
@@ -238,7 +269,7 @@ def outcome(build):
     type and message of what it raised."""
     try:
         return [tuple(map(repr, m)) for m in build()]
-    except (ValueError, TypeError, OverflowError) as exc:
+    except MinutiaeError as exc:
         return type(exc), str(exc)
 
 
@@ -259,11 +290,13 @@ def set_inputs(draw):
         st.tuples(st.integers(0, max(width, 0)), st.integers(0, max(height, 0)), angles),
         min_size=1, max_size=10,
     ))
-    # now and then a row outside the image, or one that is no valid Minutia
+    # now and then a row outside the image, or one with a coordinate or
+    # angle out of range
     if draw(st.integers(0, 3)) == 2:
         bad = draw(st.sampled_from([
             (width + 1, 0, 0.0), (0, height + 1, 90.0), (-1, 0, 0.0),
             (0, MAX_COORDINATE + 1, 0.0), (0, 0, 360.0), (0, 0, math.nan),
+            (math.nan, 0, 0.0), (0, -math.inf, 0.0), (math.inf, 0, math.nan),
         ]))
         rows.insert(draw(st.integers(0, len(rows))), bad)
     # twins of earlier rows: exact, float or fractional coordinates (which
@@ -282,33 +315,27 @@ def set_inputs(draw):
 def test_set_validation_matches_per_minutia_loop(args):
     width, height, rows = args
     expected = outcome(lambda: checked_per_minutia(width, height, rows))
-    assert outcome(lambda: MinutiaeSet("v", 0, width, height, rows).minutiae) == expected
-    array = np.array(rows, dtype=np.float64).reshape(-1, 3).T
-    assert outcome(lambda: MinutiaeSet("v", 0, width, height, array).minutiae) == expected
-    try:
-        as_minutiae = [Minutia(*r) for r in rows]
-    except ValueError:
-        return
-    assert outcome(lambda: MinutiaeSet("v", 0, width, height, as_minutiae).minutiae) == expected
+    array = np.array(rows, dtype=np.float64).T
+    assert outcome(lambda: MinutiaeSet("v", 0, width, height, array).points.T.tolist()) == expected
+    columns = [list(c) for c in zip(*rows)]
+    assert outcome(lambda: MinutiaeSet("v", 0, width, height, columns).points.T.tolist()) == expected
 
 
 def test_set_stores_one_read_only_array():
-    mset = MinutiaeSet("s", 0, 10, 10, [(1, 2, 3.5), (4.0, 5, 0)])
+    mset = MinutiaeSet("s", 0, 10, 10, [[1, 4.0], [2, 5], [3.5, 0]])
     assert mset.points.shape == (3, 2) and mset.points.flags.c_contiguous
     assert mset.points.tolist() == [[1.0, 4.0], [2.0, 5.0], [3.5, 0.0]]
     with pytest.raises(ValueError):
         mset.points[0, 0] = 2.0
-    assert mset.minutiae == (Minutia(1, 2, 3.5), Minutia(4, 5, 0.0))
-    assert [type(v) for m in mset.minutiae for v in m] == [int, int, float] * 2
     # coordinates truncate as int() does, to +0.0 from -0.5 and -0.0
-    cut = MinutiaeSet("s", 0, 10, 10, [(-0.5, 2.9, 1.0), (-0.0, 1, 2.0)])
+    cut = MinutiaeSet("s", 0, 10, 10, [[-0.5, -0.0], [2.9, 1], [1.0, 2.0]])
     assert cut.points[:2].tolist() == [[0.0, 0.0], [2.0, 1.0]]
     assert not np.signbit(cut.points[:2]).any()
     # built from the array, the set is the same and leaves its input writable
     array = np.array([[1, 4], [2, 5], [3.5, 0.0]])
     assert MinutiaeSet("s", 0, 10, 10, array) == mset
     assert array.flags.writeable
-    assert replace(mset, impression_id=1).minutiae == mset.minutiae
+    assert replace(mset, impression_id=1).points.tolist() == mset.points.tolist()
     back = pickle.loads(pickle.dumps(mset))
     assert back == mset and hash(back) == hash(mset) and not back.points.flags.writeable
 
@@ -317,26 +344,6 @@ def test_set_stores_one_read_only_array():
 def test_set_rejects_misshapen_arrays(shape):
     with pytest.raises(MinutiaeError, match="shape"):
         MinutiaeSet("s", 0, 10, 10, np.ones(shape))
-
-
-def test_gallery_path_builds_no_minutia(monkeypatch):
-    calls = []
-    original = Minutia.__new__
-
-    def counting(cls, *args):
-        calls.append(args)
-        return original(cls, *args)
-
-    monkeypatch.setattr(Minutia, "__new__", staticmethod(counting))
-    cfg = QuantizationConfig.for_np(15)
-    profile = PerturbationProfile(2.0, 4.0, 0.1)
-    for row in synthesize_dataset(3, 3, profile, n_minutiae=40):
-        for mset in row:
-            extract_features(mset, cfg)
-            assert not mset.points.flags.writeable
-    assert calls == []
-    Minutia(1, 2, 3.0)  # the counter does see a construction
-    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
@@ -379,7 +386,7 @@ def test_minutiae_cap_holds_for_sets_and_synthesis(monkeypatch):
     with pytest.raises(MinutiaeError, match=f"too many minutiae: found {MAX_MINUTIAE + 1}, at most"):
         MinutiaeSet("s", 0, 2000, 10, cols)
     with pytest.raises(MinutiaeError, match="too many minutiae"):
-        MinutiaeSet("s", 0, 2000, 10, list(zip(*cols.tolist())))
+        MinutiaeSet("s", 0, 2000, 10, cols.tolist())
     assert len(synthesize_subject(MAX_MINUTIAE, 388, 374, seed=1)) == MAX_MINUTIAE
 
     def no_draws(*args, **kwargs):
@@ -487,9 +494,9 @@ def test_synthesize_seed_sensitive():
 def test_synthesize_bounds_inclusive():
     mset = synthesize_subject(2, 10, 10, seed=1)
     assert len(mset) == 2
-    for m in mset.minutiae:
-        assert 0 <= m.x <= 10 and 0 <= m.y <= 10
-        assert 0.0 <= m.theta < 360.0
+    for x, y, theta in mset.points.T.tolist():
+        assert 0 <= x <= 10 and 0 <= y <= 10
+        assert 0.0 <= theta < 360.0
 
 
 def test_synthesize_rejects_one_minutia():
@@ -525,13 +532,11 @@ def test_perturb_mean_displacement_translation_sigma_2():
     # Monte-Carlo oracle: 2-D Gaussian displacement with sigma=2 per axis has
     # mean length sigma*sqrt(pi/2) ~ 2.51 px; integer rounding keeps it in [1, 3]
     base = synthesize_subject(30, 388, 374, seed=8)
-    xs = np.array([m.x for m in base.minutiae], dtype=float)
-    ys = np.array([m.y for m in base.minutiae], dtype=float)
+    xs, ys, _ = base.points
     total, count = 0.0, 0
     for trial in range(1000):
         moved = perturb(base, PerturbationProfile(translation_sigma=2.0), trial)
-        mx = np.array([m.x for m in moved.minutiae], dtype=float)
-        my = np.array([m.y for m in moved.minutiae], dtype=float)
+        mx, my, _ = moved.points
         total += float(np.hypot(mx - xs, my - ys).sum())
         count += len(moved)
     mean = total / count
@@ -606,36 +611,35 @@ def perturb_per_minutia(mset: MinutiaeSet, profile: PerturbationProfile, seed: i
     """Reference perturbation: one minutia at a time, with Python ``round``,
     scalar ``np.clip`` and ``normalize_degrees``; same RNG draw order."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n = len(mset.minutiae)
+    n = len(mset)
 
     dx = rng.normal(0.0, profile.translation_sigma, size=n)
     dy = rng.normal(0.0, profile.translation_sigma, size=n)
     dtheta = rng.normal(0.0, profile.rotation_sigma, size=n)
 
-    moved: list[Minutia] = []
-    for m, ddx, ddy, ddt in zip(mset.minutiae, dx, dy, dtheta):
-        x = int(np.clip(round(m.x + ddx), 0, mset.width))
-        y = int(np.clip(round(m.y + ddy), 0, mset.height))
-        moved.append(Minutia(x, y, normalize_degrees(m.theta + ddt)))
+    moved: list[tuple[int, int, float]] = []
+    for (x, y, theta), ddx, ddy, ddt in zip(mset.points.T.tolist(), dx, dy, dtheta):
+        x = int(np.clip(round(x + ddx), 0, mset.width))
+        y = int(np.clip(round(y + ddy), 0, mset.height))
+        moved.append((x, y, normalize_degrees(theta + ddt)))
 
     n_drop = int(round(profile.drop_rate * n))
     if n_drop:
         drop = set(rng.choice(n, size=n_drop, replace=False).tolist())
         moved = [m for i, m in enumerate(moved) if i not in drop]
 
-    unique: list[Minutia] = []
+    unique: list[tuple[int, int, float]] = []
     kept: set[tuple[int, int, float]] = set()
     for m in moved:
-        key = (m.x, m.y, m.theta)
-        if key not in kept:
-            kept.add(key)
+        if m not in kept:
+            kept.add(m)
             unique.append(m)
 
     if len(unique) < 2:
         raise InsufficientMinutiaeError(
             f"insufficient minutiae: {len(unique)} left after perturbation"
         )
-    return replace(mset, minutiae=tuple(unique))
+    return replace(mset, points=np.array(unique).T)
 
 
 @st.composite
@@ -661,7 +665,7 @@ def perturb_inputs(draw):
         rotation_sigma=draw(st.sampled_from([0.0, 1e-9, 4.0, 400.0])),
         drop_rate=draw(st.floats(0.0, 1.0)),
     )
-    mset = MinutiaeSet("h", 0, width, height, tuple(Minutia(*p) for p in pts))
+    mset = MinutiaeSet("h", 0, width, height, np.array(pts).T)
     return mset, profile, draw(st.integers(0, 2**32))
 
 
@@ -679,6 +683,6 @@ def test_perturb_matches_per_minutia_path(args):
     assert got == expected
     assert serialize_minutiae(got) == serialize_minutiae(expected)
     # same values, same types: repr tells 0.0 from -0.0 and int from float
-    assert [tuple(map(repr, (m.x, m.y, m.theta))) for m in got.minutiae] == [
-        tuple(map(repr, (m.x, m.y, m.theta))) for m in expected.minutiae
+    assert [tuple(map(repr, m)) for m in got.points.T.tolist()] == [
+        tuple(map(repr, m)) for m in expected.points.T.tolist()
     ]

@@ -6,7 +6,7 @@ import pytest
 
 from biokex import netsim, protocol
 from biokex.ca import CaRegistry, Identity, RsaKeyPair
-from biokex.minutiae import Minutia, MinutiaeSet
+from biokex.minutiae import MinutiaeSet
 from biokex.netsim import (
     AdversaryMode,
     AdversaryPolicy,
@@ -138,7 +138,7 @@ def _failing_parties(request, alice, bob, case):
     if case == "responder_cert_swap":
         return alice, bob, _SwapResponderCertificate(attacker_certificate=_mallory_certificate())
     # all of a party's minutiae at one position: every pair is degenerate
-    stub = MinutiaeSet("stub", 0, 10, 10, (Minutia(5, 5, 0.0), Minutia(5, 5, 180.0)))
+    stub = MinutiaeSet("stub", 0, 10, 10, [[5, 5], [5, 5], [0.0, 180.0]])
     if case == "coincident_minutiae":
         return dataclasses.replace(alice, fingerprint=stub), bob, None
     if case == "both_abort":

@@ -5,7 +5,7 @@ import pytest
 
 from biokex.ca import CaRegistry, Identity, RsaKeyPair
 from biokex.keyagree import RFC3526_2048
-from biokex.minutiae import Minutia, MinutiaeSet, synthesize_subject
+from biokex.minutiae import MinutiaeSet, synthesize_subject
 from biokex.protocol import (
     MSG_ABORT,
     MSG_CERT,
@@ -145,7 +145,7 @@ def test_feature_extraction_failure_aborts(ca_env):
     registry, alice, _ = ca_env
     # two minutiae at one position: every pair is degenerate
     degenerate = MinutiaeSet(
-        "stub", 0, 10, 10, (Minutia(5, 5, 0.0), Minutia(5, 5, 180.0))
+        "stub", 0, 10, 10, [[5, 5], [5, 5], [0.0, 180.0]]
     )
     a = SessionEndpoint(
         alice.certificate, degenerate, registry.public_key,
