@@ -1,10 +1,12 @@
 """The ``ctypes`` binding to the OpenSSL that ``hashlib`` links.
 
-``keyagree.modexp`` computes modular exponentiations through it and
+``keyagree`` computes modular exponentiations (``BN_mod_exp_mont_consttime``)
+and the residue check's Jacobi symbols (``BN_kronecker``) through it, and
 ``transform`` its index-stream digests; both import it from here, since
 ``keyagree`` imports ``transform``. The BIGNUM calls are all or nothing:
-where any is missing, :func:`libcrypto` returns None and ``modexp`` uses
-``pow``. The X9.63 KDF is bound apart from them by :func:`sha256_kdf`.
+where any is missing, :func:`libcrypto` returns None and ``keyagree`` uses
+``pow`` and its Python Jacobi loop. The X9.63 KDF is bound apart from them
+by :func:`sha256_kdf`.
 OpenSSL 3 declares ``ECDH_KDF_X9_62`` deprecated and builds it with its EC
 module, so a build without either lacks it; only the digests then fall back
 to Python.
@@ -21,11 +23,11 @@ _BYTES = ctypes.c_char_p
 _SIGNATURES = (
     ("BN_CTX_new", _P, ()),
     ("BN_CTX_free", None, (_P,)),
-    ("BN_new", _P, ()),
     ("BN_clear_free", None, (_P,)),
     ("BN_bin2bn", _P, (_BYTES, _I, _P)),
     ("BN_bn2binpad", _I, (_P, _BYTES, _I)),
     ("BN_mod_exp_mont_consttime", _I, (_P, _P, _P, _P, _P, _P)),
+    ("BN_kronecker", _I, (_P, _P, _P)),
     ("ERR_clear_error", None, ()),
 )
 

@@ -18,8 +18,9 @@ When the generator is a quadratic residue mod q (2 is, in the RFC 3526
 group, since q = 7 mod 8), every honest public value is one too, and
 :func:`shared_secret` rejects a peer value that is not: the quadratic
 character of the shared element would otherwise give that peer the parity
-of the private exponent. The Jacobi symbol that decides it is computed in
-Python, once per peer value and once per group for the generator.
+of the private exponent. The Jacobi symbol that decides it is computed by
+OpenSSL's ``BN_kronecker``, or in Python where that library cannot be
+bound, once per peer value and once per group for the generator.
 
 All functions are pure and big-integer values immutable. No timing-channel
 resistance is claimed for the modular exponentiation.
@@ -27,6 +28,7 @@ resistance is claimed for the modular exponentiation.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -159,6 +161,26 @@ def derive_private_key(template: RevocableTemplate) -> PrivateKey:
     return PrivateKey(int.from_bytes(digest, "big"))
 
 
+@contextlib.contextmanager
+def _bignums(lib, *values: int):
+    """A fresh ``BN_CTX`` and one ``BIGNUM`` per value, cleared and freed on exit.
+
+    Either may be NULL where allocation failed; the caller checks before use.
+    """
+    ctx = lib.BN_CTX_new()
+    nums = []
+    try:
+        for value in values:
+            raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
+            nums.append(lib.BN_bin2bn(raw, len(raw), None))
+        yield ctx, nums
+    finally:
+        # both free calls accept NULL
+        for num in nums:
+            lib.BN_clear_free(num)
+        lib.BN_CTX_free(ctx)
+
+
 def modexp(base: int, exponent: int, modulus: int) -> int:
     """``pow(base, exponent, modulus)`` for non-negative operands and ``modulus > 1``.
 
@@ -173,37 +195,38 @@ def modexp(base: int, exponent: int, modulus: int) -> int:
         return pow(base, exponent, modulus)
     size = (modulus.bit_length() + 7) // 8
     out = ctypes.create_string_buffer(size)
-    ctx = lib.BN_CTX_new()
-    nums = []
-    try:
-        for value in (base, exponent, modulus):
-            raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
-            nums.append(lib.BN_bin2bn(raw, len(raw), None))
-        result = lib.BN_new()
-        nums.append(result)
+    # the trailing 0 is a fresh BIGNUM for the result
+    with _bignums(lib, base, exponent, modulus, 0) as (ctx, nums):
         if not (
             ctx
             and all(nums)
-            and lib.BN_mod_exp_mont_consttime(result, *nums[:3], ctx, None)
-            and lib.BN_bn2binpad(result, out, size) == size
+            and lib.BN_mod_exp_mont_consttime(nums[3], *nums[:3], ctx, None)
+            and lib.BN_bn2binpad(nums[3], out, size) == size
         ):
             lib.ERR_clear_error()
             raise KeyAgreementError("OpenSSL modular exponentiation failed")
-        return int.from_bytes(out.raw, "big")
-    finally:
-        # both free calls accept NULL
-        for num in nums:
-            lib.BN_clear_free(num)
-        lib.BN_CTX_free(ctx)
+    return int.from_bytes(out.raw, "big")
 
 
 def _jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for a >= 0 and odd n > 1; the Legendre symbol for prime n.
 
-    The binary algorithm of Cohen, "A Course in Computational Algebraic
-    Number Theory", Algorithm 1.4.10.
+    OpenSSL's ``BN_kronecker`` (the Kronecker symbol, which is the Jacobi
+    symbol for odd n) computes it without holding the GIL, so two threads'
+    checks run side by side. It is not constant-time and need not be: ``a``
+    is a peer's public value. Where OpenSSL cannot be bound, Python runs the
+    binary algorithm of Cohen, "A Course in Computational Algebraic Number
+    Theory", Algorithm 1.4.10.
     """
     a %= n
+    lib = _openssl.libcrypto()
+    if lib is not None:
+        with _bignums(lib, a, n) as (ctx, nums):
+            symbol = lib.BN_kronecker(*nums, ctx) if ctx and all(nums) else -2
+        if symbol == -2:
+            lib.ERR_clear_error()
+            raise KeyAgreementError("OpenSSL Jacobi symbol failed")
+        return symbol
     symbol = 1
     while a:
         twos = (a & -a).bit_length() - 1

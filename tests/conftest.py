@@ -67,19 +67,29 @@ def without_openssl(monkeypatch):
     _openssl.sha256_kdf.cache_clear()
 
 
+class _FailingLib:
+    """The bound OpenSSL with the named functions replaced."""
+
+    def __init__(self, lib, **replaced):
+        self._lib = lib
+        vars(self).update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+
 @pytest.fixture
 def fail_modexp(monkeypatch):
     """Call to make every later OpenSSL modular exponentiation report failure."""
-    lib = _openssl.libcrypto()
+    failing = _FailingLib(_openssl.libcrypto(), BN_mod_exp_mont_consttime=lambda *args: 0)
+    return lambda: monkeypatch.setattr(_openssl, "libcrypto", lambda: failing)
 
-    class FailingExp:
-        def __getattr__(self, name):
-            return getattr(lib, name)
 
-        def BN_mod_exp_mont_consttime(self, *args):
-            return 0
-
-    return lambda: monkeypatch.setattr(_openssl, "libcrypto", lambda: FailingExp())
+@pytest.fixture
+def fail_kronecker(monkeypatch):
+    """Call to make every later OpenSSL Jacobi symbol report failure (-2)."""
+    failing = _FailingLib(_openssl.libcrypto(), BN_kronecker=lambda *args: -2)
+    return lambda: monkeypatch.setattr(_openssl, "libcrypto", lambda: failing)
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,11 @@
 import ctypes
 import hashlib
+import threading
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from biokex import _openssl, keyagree
 from biokex.features import FeatureBitString
@@ -153,14 +154,24 @@ def test_modexp_failure_raises(fail_modexp):
         modexp(2, 5, 7)
 
 
-@given(st.integers(0, 2**300), st.integers(1, 2**299).map(lambda k: 2 * k + 1))
-@example(0, 3)
-@example(9, 15)
-@example(2, 15)
-@example(11, RFC3526_2048.q)
-@example(RFC3526_2048.q + 2, RFC3526_2048.q)
-@settings(max_examples=300, deadline=None)
+def _jacobi_cases(test):
+    """300 Hypothesis operand pairs (a >= 0, odd n > 1) plus the edge examples."""
+    for a, n in [(RFC3526_2048.q + 2, RFC3526_2048.q), (11, RFC3526_2048.q), (2, 15), (9, 15), (0, 3)]:
+        test = example(a, n)(test)
+    test = settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )(test)
+    return given(st.integers(0, 2**300), st.integers(1, 2**299).map(lambda k: 2 * k + 1))(test)
+
+
+@_jacobi_cases
 def test_jacobi_matches_reference(a, n):
+    assert _openssl.libcrypto() is not None
+    assert _jacobi(a, n) == _jacobi_reference(a, n)
+
+
+@_jacobi_cases
+def test_jacobi_matches_reference_without_openssl(without_openssl, a, n):
     assert _jacobi(a, n) == _jacobi_reference(a, n)
 
 
@@ -199,6 +210,73 @@ def test_rfc3526_non_residue_peers_rejected(value):
     assert _jacobi(value, RFC3526_2048.q) == -1
     with pytest.raises(NonResidueKeyError):
         shared_secret(RFC3526_2048, PrivateKey(97), PublicKey(value))
+
+
+def _peer_values():
+    """300 seeded peer values mod q: squares, squares times the non-residue 11,
+    uniform draws, and 2, q-2 and the degenerate 1 and q-1."""
+    q = RFC3526_2048.q
+    rng = np.random.default_rng(3203)
+    draws = [int.from_bytes(rng.bytes(256), "big") % q for _ in range(296)]
+    return [
+        *(v * v % q for v in draws[:100]),
+        *(11 * v * v % q for v in draws[100:200]),
+        *draws[200:],
+        2, q - 2, 1, q - 1,
+    ]
+
+
+def _verdicts(values):
+    prv = PrivateKey(0x5EED << 200 | 1)
+    verdicts = []
+    for value in values:
+        try:
+            verdicts.append(shared_secret(RFC3526_2048, prv, PublicKey(value)))
+        except KeyAgreementError as exc:
+            verdicts.append((type(exc), str(exc)))
+    return verdicts
+
+
+def test_shared_secret_verdicts_match_without_openssl(request):
+    values = _peer_values()
+    through_openssl = _verdicts(values)
+    request.getfixturevalue("without_openssl")
+    through_python = _verdicts(values)
+    assert through_python == through_openssl
+    rejected = [v for v in through_openssl if isinstance(v, tuple)]
+    assert [t for t, _ in rejected].count(NonResidueKeyError) >= 100
+    assert [t for t, _ in rejected].count(DegenerateKeyError) == 2
+    assert len(rejected) < 250
+
+
+def test_jacobi_from_two_threads_at_once():
+    # each call owns its BN_CTX, so concurrent calls (the GIL is released
+    # inside BN_kronecker) cannot disturb each other
+    q = RFC3526_2048.q
+    rng = np.random.default_rng(3204)
+    inputs = [[int.from_bytes(rng.bytes(256), "big") for _ in range(200)] for _ in range(2)]
+    barrier = threading.Barrier(2)
+    results = [None, None]
+
+    def run(k):
+        barrier.wait()
+        results[k] = [_jacobi(a, q) for a in inputs[k]]
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert results == [[_jacobi_reference(a, q) for a in values] for values in inputs]
+
+
+def test_kronecker_failure_is_a_key_agreement_error(fail_kronecker):
+    honest = public_key(RFC3526_2048, PrivateKey(12345))
+    fail_kronecker()
+    with pytest.raises(KeyAgreementError, match="Jacobi symbol failed") as exc:
+        shared_secret(RFC3526_2048, PrivateKey(97), honest)
+    # not a DegenerateKeyError: protocol.establish reports KEY_AGREEMENT
+    assert not isinstance(exc.value, DegenerateKeyError)
 
 
 def test_honest_public_values_are_residues(rng):

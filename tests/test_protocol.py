@@ -201,6 +201,17 @@ def test_establish_fails_closed_on_key_agreement_failure(ca_env, fail_modexp):
     assert exc.value.frame.payload == bytes([AbortReason.KEY_AGREEMENT])
 
 
+def test_establish_fails_closed_on_residue_check_failure(ca_env, fail_kronecker):
+    a = _verified_alice(ca_env)
+    a.exchange_dh()
+    fail_kronecker()
+    with pytest.raises(HandshakeAborted, match="Jacobi symbol failed") as exc:
+        a.establish(WireMessage(MSG_DH_PUB, pow(2, 12345, RFC3526_2048.q).to_bytes(256, "big")))
+    assert exc.value.reason is AbortReason.KEY_AGREEMENT
+    assert a.state.phase is Phase.FAILED
+    assert exc.value.frame.payload == bytes([5])
+
+
 def test_seal_open_roundtrip_including_empty(ca_env):
     a, b, _, _ = _handshake(ca_env)
     for plaintext in (b"", b"x", b"a longer message body", bytes(range(256))):
