@@ -80,8 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="export the delivered frames as newline-delimited hex records")
 
     p = sub.add_parser("attack", help="run an adversary scenario")
-    p.add_argument("--scenario", choices=["passive", "replay", "mitm", "host-compromise"])
-    p.add_argument("--scenario-file", type=Path, default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--scenario", choices=[m.value for m in netsim.AdversaryMode])
+    source.add_argument("--scenario-file", type=Path, default=None,
+                        help="scenario definition; its seed line, not --seed, seeds the run")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, default=None)
 
@@ -122,6 +124,15 @@ def _cmd_enroll(args) -> int:
     return EXIT_OK
 
 
+def _write_rows(rows: dict[str, str], out: Path | None) -> None:
+    """``name=value`` lines to ``out``, or to stdout without one."""
+    text = "".join(f"{name}={value}\n" for name, value in rows.items())
+    if out:
+        out.write_text(text, encoding="utf-8")
+    else:
+        print(text, end="")
+
+
 def _cmd_session(args) -> int:
     registry = netsim.make_environment(args.seed)
     a = netsim.make_enrolled_party(registry, "alice", args.seed + 1)
@@ -131,17 +142,12 @@ def _cmd_session(args) -> int:
         seed=args.seed, session_id=1, cfg=_cfg(args),
     )
     key_fpr = hashlib.sha256(outcome.record.key).hexdigest() if outcome.record else "-"
-    lines = [
-        f"established={'true' if outcome.established else 'false'}",
-        f"session_id={outcome.session_id}",
-        f"session_key_fingerprint={key_fpr}",
-        f"frames={len(outcome.transcript)}",
-    ]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        args.out.write_text(text, encoding="utf-8")
-    else:
-        print(text, end="")
+    _write_rows({
+        "established": "true" if outcome.established else "false",
+        "session_id": "1",
+        "session_key_fingerprint": key_fpr,
+        "frames": str(len(outcome.transcript)),
+    }, args.out)
     if args.transcript_out:
         args.transcript_out.write_text(
             netsim.format_transcript(outcome.transcript), encoding="utf-8"
@@ -152,17 +158,9 @@ def _cmd_session(args) -> int:
 def _cmd_attack(args) -> int:
     if args.scenario_file is not None:
         scenario = netsim.load_scenario(args.scenario_file.read_text(encoding="utf-8"))
-    elif args.scenario is not None:
+    else:
         scenario = netsim.Scenario(netsim.AdversaryMode(args.scenario), seed=args.seed)
-    else:
-        print("error: provide --scenario or --scenario-file", file=sys.stderr)
-        return EXIT_USAGE
-    record = netsim.run_scenario(scenario)
-    text = "\n".join(record.to_lines()) + "\n"
-    if args.out:
-        args.out.write_text(text, encoding="utf-8")
-    else:
-        print(text, end="")
+    _write_rows(netsim.run_scenario(scenario), args.out)
     return EXIT_OK
 
 

@@ -161,6 +161,9 @@ def _packed_templates(
     """Feature bits of the first ``n_impressions`` impressions of every
     subject, packed into bytes MSB first: shape (subjects, impressions,
     2**n_p / 8)."""
+    # the one large block an eval frees: under glibc, freeing it raises the
+    # mmap and trim thresholds, so later evals in the same process stop
+    # re-faulting their pair-length buffers and run faster than the first
     packed = np.empty((len(dataset), n_impressions, (1 << cfg.n_p) // 8), np.uint8)
 
     def fill(rows: range) -> None:

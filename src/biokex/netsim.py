@@ -13,8 +13,8 @@ exactly reproducible and independent of scheduling.
 Adversary modes:
 
 * passive: records every frame, alters nothing.
-* mitm: substitutes its own certificate (signed by a rogue authority)
-  for each certificate frame.
+* mitm: holds its own certificate (signed by a rogue authority) and
+  substitutes it for each certificate frame.
 * replay: captures one session's ciphertext and tries to open it under the
   key of the next session between the same parties.
 * host-compromise: captures three sessions and obtains the key of the
@@ -70,7 +70,6 @@ __all__ = [
     "SessionOutcome",
     "SessionRecord",
     "Scenario",
-    "ScenarioRecord",
     "SimulationError",
     "format_transcript",
     "make_environment",
@@ -102,19 +101,17 @@ class AdversaryMode(enum.Enum):
 
 @dataclass
 class AdversaryPolicy:
-    """Attacker behavior plus everything the attacker has stored."""
+    """Everything the attacker has stored. One that holds an
+    ``attacker_certificate`` substitutes it for every certificate frame."""
 
-    mode: AdversaryMode = AdversaryMode.PASSIVE
     captured: list[tuple[str, bytes]] = field(default_factory=list)
     attacker_certificate: Certificate | None = None
     stolen: list[bytes] = field(default_factory=list)
 
     def intercept(self, direction: str, frame: bytes) -> bytes:
         self.captured.append((direction, frame))
-        if self.mode is AdversaryMode.MITM:
-            msg = WireMessage.decode(frame)
-            if msg.msg_type == MSG_CERT and self.attacker_certificate is not None:
-                return WireMessage(MSG_CERT, self.attacker_certificate.encode()).encode()
+        if self.attacker_certificate is not None and WireMessage.decode(frame).msg_type == MSG_CERT:
+            return WireMessage(MSG_CERT, self.attacker_certificate.encode()).encode()
         return frame
 
     def state_blob(self) -> bytes:
@@ -187,13 +184,15 @@ class PartyConfig:
 
 @dataclass
 class SessionOutcome:
-    established: bool
     attacker_learned_key: bool
     attacker_learned_plaintext: bool
     failure_reason: AbortReason | None
-    session_id: int
     record: "SessionRecord | None" = None
     transcript: list[tuple[str, bytes]] = field(default_factory=list)
+
+    @property
+    def established(self) -> bool:
+        return self.record is not None
 
 
 @dataclass
@@ -302,11 +301,9 @@ def run_session(
         [record.key] if record is not None else [], [p for _, p in plaintexts]
     )
     return SessionOutcome(
-        established=record is not None,
         attacker_learned_key=learned_key,
         attacker_learned_plaintext=learned_plaintext,
         failure_reason=failure,
-        session_id=session_id,
         record=record,
         transcript=list(channel.delivered_log),
     )
@@ -322,19 +319,6 @@ class Scenario:
     party_b: str = "bob"
     messages: tuple = _DEFAULT_PLAINTEXTS
     seed: int = 0
-
-
-@dataclass
-class ScenarioRecord:
-    """One line per assertion, ``name=value``."""
-
-    assertions: list[tuple[str, str]]
-
-    def to_lines(self) -> list[str]:
-        return [f"{name}={value}" for name, value in self.assertions]
-
-    def get(self, name: str) -> str:
-        return dict(self.assertions)[name]
 
 
 def load_scenario(text: str) -> Scenario:
@@ -367,9 +351,12 @@ def load_scenario(text: str) -> Scenario:
                 raise SimulationError(f"line {lineno}: direction must be a->b or b->a")
             messages.append((fields[1], fields[2].encode("utf-8")))
         elif kind == "seed" and len(fields) == 2:
-            if not fields[1].isdecimal():
-                raise SimulationError(f"line {lineno}: seed must be a non-negative integer")
-            seed = int(fields[1])
+            try:
+                if not fields[1].isdecimal():
+                    raise ValueError
+                seed = int(fields[1])  # also refuses more digits than CPython converts
+            except ValueError:
+                raise SimulationError(f"line {lineno}: seed must be a non-negative integer") from None
         else:
             raise SimulationError(f"line {lineno}: unrecognized scenario line {raw!r}")
     if mode is None:
@@ -387,18 +374,18 @@ _SESSIONS_PER_SCENARIO = {AdversaryMode.REPLAY: 2, AdversaryMode.HOST_COMPROMISE
 _COMPROMISED_SESSION = 1
 
 
-def run_scenario(scenario: Scenario) -> ScenarioRecord:
-    """Execute one adversary scenario end to end and emit its assertion record.
+def run_scenario(scenario: Scenario) -> dict[str, str]:
+    """Execute one adversary scenario end to end and return its assertion rows.
 
     Passive and mitm run one session, replay two and host-compromise three,
-    all against one adversary. The record is ``scenario, established, <mode
-    rows>, attacker_learned_key, attacker_learned_plaintext, failure_reason``,
-    each value computed from those sessions and that adversary's state.
+    all against one adversary. The rows, in order, are ``scenario, established,
+    <mode rows>, attacker_learned_key, attacker_learned_plaintext,
+    failure_reason``, each computed from those sessions and that adversary's state.
     """
     registry = make_environment(scenario.seed)
     a = make_enrolled_party(registry, scenario.party_a, scenario.seed + 1)
     b = make_enrolled_party(registry, scenario.party_b, scenario.seed + 2)
-    adversary = AdversaryPolicy(scenario.mode)
+    adversary = AdversaryPolicy()
     if scenario.mode is AdversaryMode.MITM:
         rogue = CaRegistry(RsaKeyPair.generate(
             int(np.random.SeedSequence([scenario.seed, 0xBAD]).generate_state(1, np.uint64)[0])
@@ -416,39 +403,39 @@ def run_scenario(scenario: Scenario) -> ScenarioRecord:
     ]
     records = [o.record for o in outcomes if o.record is not None]
 
-    mode_rows: list[tuple[str, str]] = []
+    mode_rows: dict[str, str] = {}
     if scenario.mode is AdversaryMode.REPLAY:
         first, second = records
         replayed = _opened_frames(second.key, outcomes[0].transcript)
-        mode_rows = [
-            ("session_keys_differ", _bool(first.key != second.key)),
-            ("replayed_ciphertext_rejected", _bool(all(p is None for p in replayed))),
-        ]
+        mode_rows = {
+            "session_keys_differ": _bool(first.key != second.key),
+            "replayed_ciphertext_rejected": _bool(all(p is None for p in replayed)),
+        }
     elif scenario.mode is AdversaryMode.HOST_COMPROMISE:
         stolen = records[_COMPROMISED_SESSION].key
         adversary.stolen.append(stolen)
         # session-key independence: the stolen key opens every data frame of
         # its own session, of which there is one at least, and no other's
         opened = [_opened_frames(stolen, o.transcript) for o in outcomes]
-        mode_rows = [
-            ("sessions", str(len(records))),
-            ("compromised", str(_COMPROMISED_SESSION)),
-            ("decrypts_only_own_session", _bool(all(
+        mode_rows = {
+            "sessions": str(len(records)),
+            "compromised": str(_COMPROMISED_SESSION),
+            "decrypts_only_own_session": _bool(all(
                 (bool(frames) and None not in frames) == (i == _COMPROMISED_SESSION)
                 for i, frames in enumerate(opened)
-            ))),
-        ]
+            )),
+        }
 
     failure = next((o.failure_reason for o in outcomes if o.failure_reason is not None), None)
     # asked after any stolen key is stored
     learned_key, learned_plaintext = adversary.learned(
         [r.key for r in records], [p for _, p in scenario.messages]
     )
-    return ScenarioRecord([
-        ("scenario", scenario.mode.value),
-        ("established", _bool(all(o.established for o in outcomes))),
-        *mode_rows,
-        ("attacker_learned_key", _bool(learned_key)),
-        ("attacker_learned_plaintext", _bool(learned_plaintext)),
-        ("failure_reason", "none" if failure is None else failure.label),
-    ])
+    return {
+        "scenario": scenario.mode.value,
+        "established": _bool(all(o.established for o in outcomes)),
+        **mode_rows,
+        "attacker_learned_key": _bool(learned_key),
+        "attacker_learned_plaintext": _bool(learned_plaintext),
+        "failure_reason": "none" if failure is None else failure.label,
+    }

@@ -177,21 +177,21 @@ def test_criterion_07_entropy():
 def test_criterion_08_attack_suite():
     with criterion(8, 60.0, "attack suite: passive, replay, mitm, host compromise"):
         passive = run_scenario(Scenario(AdversaryMode.PASSIVE, seed=801))
-        assert passive.get("established") == "true"
-        assert passive.get("attacker_learned_key") == "false"
+        assert passive["established"] == "true"
+        assert passive["attacker_learned_key"] == "false"
 
         replay = run_scenario(Scenario(AdversaryMode.REPLAY, seed=802))
-        assert replay.get("replayed_ciphertext_rejected") == "true"
-        assert replay.get("session_keys_differ") == "true"
-        assert replay.get("attacker_learned_plaintext") == "false"
+        assert replay["replayed_ciphertext_rejected"] == "true"
+        assert replay["session_keys_differ"] == "true"
+        assert replay["attacker_learned_plaintext"] == "false"
 
         mitm = run_scenario(Scenario(AdversaryMode.MITM, seed=803))
-        assert mitm.get("established") == "false"
-        assert mitm.get("failure_reason") == "certificate-verification"
+        assert mitm["established"] == "false"
+        assert mitm["failure_reason"] == "certificate-verification"
 
         hc = run_scenario(Scenario(AdversaryMode.HOST_COMPROMISE, seed=804))
-        assert hc.get("sessions") == "3"
-        assert hc.get("decrypts_only_own_session") == "true"
+        assert hc["sessions"] == "3"
+        assert hc["decrypts_only_own_session"] == "true"
 
         # intra-session replay: a data frame the receiver has opened,
         # delivered to the same endpoint again

@@ -136,6 +136,30 @@ def test_attack_requires_scenario(tmp_path):
     assert proc.returncode == EXIT_USAGE
 
 
+def test_attack_takes_one_scenario_source(tmp_path):
+    (tmp_path / "scenario.txt").write_text("adversary passive\n")
+    proc = run_cli(["attack", "--scenario", "mitm", "--scenario-file", "scenario.txt",
+                    "--out", "record.txt"], tmp_path)
+    assert proc.returncode == EXIT_USAGE
+    assert "not allowed with argument" in proc.stderr
+    assert proc.stdout == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.txt"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["session", "--seed", "11"],
+    ["attack", "--scenario", "host-compromise", "--seed", "1"],
+], ids=["session", "attack"])
+def test_out_writes_the_bytes_stdout_shows(tmp_path, monkeypatch, capsysbinary, argv):
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(argv) == 0
+    printed = capsysbinary.readouterr().out
+    assert dispatch([*argv, "--out", "rows.txt"]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert printed.endswith(b"\n") and b"=" in printed.splitlines()[0]
+    assert (tmp_path / "rows.txt").read_bytes() == printed
+
+
 # stdout of `biokex keygen --seed 3`, pinned before Diffie-Hellman moved off
 # the `cryptography` DH exchange onto the shared OpenSSL modexp binding
 KEYGEN_SEED3_STDOUT = """\

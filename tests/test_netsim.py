@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from biokex import netsim, protocol
-from biokex.ca import CaRegistry, Identity, RsaKeyPair
+from biokex.ca import CaRegistry, Certificate, Identity, RsaKeyPair
 from biokex.minutiae import MinutiaeSet
 from biokex.netsim import (
     AdversaryMode,
@@ -33,7 +33,7 @@ def _passive_outcome(ca_env, adversary, seed=5):
 
 
 def test_passive_adversary_sees_nothing_useful(ca_env):
-    adversary = AdversaryPolicy(AdversaryMode.PASSIVE)
+    adversary = AdversaryPolicy()
     outcome = _passive_outcome(ca_env, adversary)
     assert outcome.established
     assert not outcome.attacker_learned_key
@@ -56,7 +56,7 @@ def test_passive_adversary_learns_plaintext_it_captured(ca_env, case, learned):
     cert_a, cert_b = (WireMessage(MSG_CERT, p.certificate.encode()).encode() for p in (alice, bob))
 
     def session(plaintext):
-        adversary = AdversaryPolicy(AdversaryMode.PASSIVE)
+        adversary = AdversaryPolicy()
         outcome = run_session(
             alice, bob, adversary, ca_public_key=registry.public_key, seed=5, session_id=1,
             plaintexts=(("a->b", b"meet at the north gate at nine"), ("b->a", plaintext)),
@@ -80,14 +80,14 @@ def test_passive_adversary_learns_plaintext_it_captured(ca_env, case, learned):
 
 
 def test_passive_equals_adversary_free_transcript(ca_env):
-    with_adv = _passive_outcome(ca_env, AdversaryPolicy(AdversaryMode.PASSIVE), seed=8)
+    with_adv = _passive_outcome(ca_env, AdversaryPolicy(), seed=8)
     without = _passive_outcome(ca_env, None, seed=8)
     assert with_adv.transcript == without.transcript
     assert with_adv.record.key == without.record.key
 
 
 def test_record_key_opens_the_delivered_data_frames(ca_env):
-    outcome = _passive_outcome(ca_env, AdversaryPolicy(AdversaryMode.PASSIVE))
+    outcome = _passive_outcome(ca_env, AdversaryPolicy())
     record = outcome.record
     assert _opened_frames(record.key, outcome.transcript) == [p for _, p in record.plaintexts]
 
@@ -108,7 +108,7 @@ def _mallory_certificate():
 
 def test_mitm_aborts_at_certificate_verification(ca_env):
     registry, alice, bob = ca_env
-    adversary = AdversaryPolicy(AdversaryMode.MITM, attacker_certificate=_mallory_certificate())
+    adversary = AdversaryPolicy(attacker_certificate=_mallory_certificate())
     outcome = run_session(
         alice, bob, adversary, ca_public_key=registry.public_key, seed=3, session_id=1
     )
@@ -118,25 +118,42 @@ def test_mitm_aborts_at_certificate_verification(ca_env):
     assert not outcome.attacker_learned_plaintext
 
 
+def test_adversary_swaps_certificates_only_when_it_holds_one():
+    # without a certificate a frame passes undecoded, so bytes that are no
+    # wire message pass too; with one, every certificate frame is swapped
+    passive = AdversaryPolicy()
+    assert passive.intercept("a->b", b"\xff not a frame") == b"\xff not a frame"
+    rogue = _mallory_certificate()
+    mitm = AdversaryPolicy(attacker_certificate=rogue)
+    swapped = WireMessage(MSG_CERT, rogue.encode()).encode()
+    data = WireMessage(MSG_DATA, b"sealed").encode()
+    for direction in ("a->b", "b->a"):
+        assert mitm.intercept(direction, WireMessage(MSG_CERT, b"x").encode()) == swapped
+        assert mitm.intercept(direction, data) == data
+    assert len(mitm.captured) == 4
+
+
+@dataclasses.dataclass
 class _SwapResponderCertificate(AdversaryPolicy):
     """Substitutes a rogue certificate for the responder's ``b->a`` one only,
-    so the responder accepts and the initiator refuses."""
+    so the responder accepts and the initiator refuses. It holds no
+    ``attacker_certificate``, which would swap both certificate frames."""
+
+    rogue_certificate: Certificate | None = None
 
     def intercept(self, direction, frame):
         frame = super().intercept(direction, frame)
         if direction == "b->a" and WireMessage.decode(frame).msg_type == MSG_CERT:
-            return WireMessage(MSG_CERT, self.attacker_certificate.encode()).encode()
+            return WireMessage(MSG_CERT, self.rogue_certificate.encode()).encode()
         return frame
 
 
 def _failing_parties(request, alice, bob, case):
     """``(a, b, adversary)`` for one failure case."""
     if case == "mitm":
-        return alice, bob, AdversaryPolicy(
-            AdversaryMode.MITM, attacker_certificate=_mallory_certificate()
-        )
+        return alice, bob, AdversaryPolicy(attacker_certificate=_mallory_certificate())
     if case == "responder_cert_swap":
-        return alice, bob, _SwapResponderCertificate(attacker_certificate=_mallory_certificate())
+        return alice, bob, _SwapResponderCertificate(rogue_certificate=_mallory_certificate())
     # all of a party's minutiae at one position: every pair is degenerate
     stub = MinutiaeSet("stub", 0, 10, 10, [[5, 5], [5, 5], [0.0, 180.0]])
     if case == "coincident_minutiae":
@@ -216,7 +233,7 @@ def test_each_certificate_is_verified_once(ca_env, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("biokex") and vars(module).get("verify_certificate") is original:
             monkeypatch.setattr(module, "verify_certificate", counting)
-    outcome = _passive_outcome(ca_env, AdversaryPolicy(AdversaryMode.PASSIVE))
+    outcome = _passive_outcome(ca_env, AdversaryPolicy())
     assert outcome.established
     assert sorted(verified) == ["alice", "bob"]
 
@@ -268,7 +285,7 @@ def test_stolen_key_adds_what_it_opens_to_the_learned_state(ca_env):
     # opens a captured frame that carries it, and only then
     registry, alice, bob = ca_env
     texts = [b"first session: the courier is late", b"second session: the vault code changed"]
-    adversary = AdversaryPolicy(AdversaryMode.PASSIVE)
+    adversary = AdversaryPolicy()
     outcomes = [
         run_session(
             alice, bob, adversary, ca_public_key=registry.public_key, seed=40,
@@ -335,6 +352,9 @@ def test_scenario_file_parsing():
         ("adversary mitm\nseed -3\n", "line 2: seed must be a non-negative integer"),
         ("adversary mitm extra words\n", "line 1: unrecognized scenario line 'adversary mitm extra"),
         ("adversary mitm\nseed 9 junk\n", "line 2: unrecognized scenario line 'seed 9 junk'"),
+        # past CPython's int-conversion limit of 4,300 digits
+        pytest.param("adversary mitm\nseed " + "9" * 4301 + "\n",
+                     "line 2: seed must be a non-negative integer", id="overlong_seed"),
     ],
 )
 def test_scenario_file_errors(text, fragment):
@@ -344,25 +364,28 @@ def test_scenario_file_errors(text, fragment):
 
 def test_scenario_records():
     passive = run_scenario(Scenario(AdversaryMode.PASSIVE, seed=2))
-    assert passive.get("established") == "true"
-    assert passive.get("attacker_learned_key") == "false"
+    assert passive["established"] == "true"
+    assert passive["attacker_learned_key"] == "false"
 
     mitm = run_scenario(Scenario(AdversaryMode.MITM, seed=2))
-    assert mitm.get("established") == "false"
-    assert mitm.get("failure_reason") == "certificate-verification"
+    assert mitm["established"] == "false"
+    assert mitm["failure_reason"] == "certificate-verification"
 
     replay = run_scenario(Scenario(AdversaryMode.REPLAY, seed=2))
-    assert replay.get("session_keys_differ") == "true"
-    assert replay.get("replayed_ciphertext_rejected") == "true"
-    assert replay.get("attacker_learned_plaintext") == "false"
+    assert replay["session_keys_differ"] == "true"
+    assert replay["replayed_ciphertext_rejected"] == "true"
+    assert replay["attacker_learned_plaintext"] == "false"
 
     hc = run_scenario(Scenario(AdversaryMode.HOST_COMPROMISE, seed=2))
-    assert hc.get("decrypts_only_own_session") == "true"
-    assert hc.get("attacker_learned_key") == "true"
+    assert hc["decrypts_only_own_session"] == "true"
+    assert hc["attacker_learned_key"] == "true"
 
-    lines = mitm.to_lines()
-    assert all("=" in line for line in lines)
-    assert lines[0] == "scenario=mitm"
+    assert next(iter(mitm.items())) == ("scenario", "mitm")
+
+
+def _lines(rows):
+    """A scenario's rows as ``biokex attack`` prints them."""
+    return [f"{name}={value}" for name, value in rows.items()]
 
 
 SCENARIO_LINES_SEED_1 = {
@@ -406,7 +429,7 @@ SCENARIO_LINES_SEED_1 = {
 def test_scenario_record_lines_pinned(mode):
     # whole records in order: every mode shares one schema, and mode rows
     # sit between "established" and the attacker/failure rows
-    assert run_scenario(Scenario(mode, seed=1)).to_lines() == SCENARIO_LINES_SEED_1[mode]
+    assert _lines(run_scenario(Scenario(mode, seed=1))) == SCENARIO_LINES_SEED_1[mode]
 
 
 @pytest.mark.parametrize("mode, planted, learned_key, learned_plaintext", [
@@ -438,9 +461,9 @@ def test_long_scenario_record_matches_knows(
     keys = [o.record.key for _, o in sessions if o.record is not None]
     naive_key = any(adversary.knows(k) for k in keys)
     naive_plaintext = any(adversary.knows(p) for _, p in messages)
-    assert record.get("attacker_learned_key") == ("true" if naive_key else "false")
-    assert record.get("attacker_learned_plaintext") == ("true" if naive_plaintext else "false")
-    assert (record.get("attacker_learned_key"), record.get("attacker_learned_plaintext")) == (
+    assert record["attacker_learned_key"] == ("true" if naive_key else "false")
+    assert record["attacker_learned_plaintext"] == ("true" if naive_plaintext else "false")
+    assert (record["attacker_learned_key"], record["attacker_learned_plaintext"]) == (
         learned_key, learned_plaintext
     )
 
@@ -448,4 +471,4 @@ def test_long_scenario_record_matches_knows(
 def test_scenario_record_determinism():
     a = run_scenario(Scenario(AdversaryMode.REPLAY, seed=6))
     b = run_scenario(Scenario(AdversaryMode.REPLAY, seed=6))
-    assert a.to_lines() == b.to_lines()
+    assert _lines(a) == _lines(b)
