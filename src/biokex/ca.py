@@ -1,11 +1,11 @@
 """Toy certificate authority: enrollment, issuance, verification.
 
 A certificate binds a user id to an Ed25519 public key (RFC 8032): the CA
-signs the SHA-256 digest of (public key DER || id bytes) with Ed25519.
-Ed25519 signatures are deterministic, so issued certificates are
-byte-reproducible. An enrollment carries nothing a certificate does not
-already carry in clear, an identity and a public key, so it is submitted to
-the registry as is.
+signs its body, the length-prefixed id and public key DER, with Ed25519, so
+the signature covers every field it carries. Ed25519 signatures are
+deterministic, so issued certificates are byte-reproducible. An enrollment
+carries nothing a certificate does not already carry in clear, an identity
+and a public key, so it is submitted to the registry as is.
 
 An Ed25519 private key is any 32 bytes, so a seeded key pair needs no
 local key search: its private key is SHA-256 over a domain tag and the
@@ -41,16 +41,16 @@ __all__ = [
     "CaError",
     "EnrollmentConflictError",
     "MalformedCertificateError",
-    "DigestMismatchError",
     "SignatureInvalidError",
     "verify_certificate",
-    "certificate_digest",
     "USER_KEY",
 ]
 
 # the files of a CA directory: the CA's own, then one user's
 _CA_KEY, _CA_PUB, _AUDIT = "ca_key.pem", "ca_pub.der", "registry.txt"
 USER_KEY, _USER_CERT = "{}_key.pem", "{}.cert"
+# an Ed25519 signature (RFC 8032), the last field of a certificate
+_SIGNATURE_BYTES = 64
 
 
 class CaError(ValueError):
@@ -63,10 +63,6 @@ class EnrollmentConflictError(CaError):
 
 class MalformedCertificateError(CaError):
     """Certificate bytes do not decode."""
-
-
-class DigestMismatchError(CaError):
-    """Recomputed digest differs from the stored one."""
 
 
 class SignatureInvalidError(CaError):
@@ -138,34 +134,23 @@ def _load_public_der(der: bytes) -> ed25519.Ed25519PublicKey:
     return key
 
 
-def certificate_digest(user_public_der: bytes, identity: Identity) -> bytes:
-    return hashlib.sha256(user_public_der + identity.encode()).digest()
-
-
 @dataclass(frozen=True)
 class Certificate:
     """CA-signed binding of an identity to an Ed25519 public key."""
 
     identity: Identity
     user_public_der: bytes
-    digest: bytes
     signature: bytes
 
-    def encode(self) -> bytes:
-        """Big-endian binary form:
-        [u16 id_len][id][u16 pub_len][pub DER][32-byte digest][u16 sig_len][sig]."""
+    def body(self) -> bytes:
+        """The signed bytes, big-endian: [u16 id_len][id][u16 pub_len][pub DER]."""
         ident = self.identity.encode()
-        return b"".join(
-            (
-                struct.pack(">H", len(ident)),
-                ident,
-                struct.pack(">H", len(self.user_public_der)),
-                self.user_public_der,
-                self.digest,
-                struct.pack(">H", len(self.signature)),
-                self.signature,
-            )
-        )
+        pub = self.user_public_der
+        return struct.pack(">H", len(ident)) + ident + struct.pack(">H", len(pub)) + pub
+
+    def encode(self) -> bytes:
+        """The body followed by the 64-byte Ed25519 signature."""
+        return self.body() + self.signature
 
     @classmethod
     def decode(cls, blob: bytes) -> "Certificate":
@@ -189,12 +174,10 @@ class Certificate:
             raise MalformedCertificateError(f"certificate decode: bad identity ({exc})") from None
         (pub_len,) = struct.unpack(">H", take(2))
         pub = take(pub_len)
-        digest = take(32)
-        (sig_len,) = struct.unpack(">H", take(2))
-        sig = take(sig_len)
-        if off != len(blob):
-            fail(f"{len(blob) - off} trailing bytes")
-        return cls(identity, pub, digest, sig)
+        sig = blob[off:]
+        if len(sig) != _SIGNATURE_BYTES:
+            fail(f"signature is {len(sig)} bytes, not {_SIGNATURE_BYTES}")
+        return cls(identity, pub, sig)
 
     @property
     def public_fingerprint(self) -> str:
@@ -276,10 +259,8 @@ class CaRegistry:
         _load_public_der(user_public_der)
         timestamp = int(time.time()) if now is None else int(now)
 
-        digest = certificate_digest(user_public_der, identity)
-        signature = self.ca_keypair.private_key.sign(digest)
-        cert = Certificate(identity, user_public_der, digest, signature)
-
+        body = Certificate(identity, user_public_der, b"").body()
+        cert = Certificate(identity, user_public_der, self.ca_keypair.private_key.sign(body))
         if self.directory is not None:
             self._record(cert, timestamp)
         self.enrolled.add(identity.user_id)
@@ -293,21 +274,17 @@ class CaRegistry:
 
 
 def verify_certificate(ca_public_key: ed25519.Ed25519PublicKey, cert: Certificate) -> Identity:
-    """Recompute the digest, check it, check the CA signature; return the identity.
+    """Check the CA signature over the certificate's body; return the identity.
 
-    The three failure modes are distinct errors: malformed encoding (raised
-    at decode time), digest mismatch, invalid signature. A CA key that is
-    not Ed25519 is a plain :class:`CaError`.
+    The two failure modes are distinct errors: malformed encoding (raised at
+    decode time) and an invalid signature, which is also what an identity or
+    key altered after signing gives. A CA key that is not Ed25519 is a plain
+    :class:`CaError`.
     """
     if not isinstance(ca_public_key, ed25519.Ed25519PublicKey):
         raise CaError("CA public key is not Ed25519")
-    expected = certificate_digest(cert.user_public_der, cert.identity)
-    if expected != cert.digest:
-        raise DigestMismatchError(
-            f"certificate digest mismatch for {cert.identity.user_id!r}"
-        )
     try:
-        ca_public_key.verify(cert.signature, cert.digest)
+        ca_public_key.verify(cert.signature, cert.body())
     except InvalidSignature:
         raise SignatureInvalidError(
             f"certificate signature invalid for {cert.identity.user_id!r}"

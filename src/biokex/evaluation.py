@@ -274,8 +274,7 @@ def session_key_sample(
     for k in range(n_pairings):
         sk = pair_session_key(
             dataset[2 * k][0], TransformationKey.random(rng),
-            dataset[2 * k + 1][0], TransformationKey.random(rng),
-            cfg, session_id=k,
+            dataset[2 * k + 1][0], TransformationKey.random(rng), cfg,
         )
         keys.append(sk.key)
     return keys

@@ -140,10 +140,9 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class SessionKey:
-    """32-byte symmetric key for one session, tagged with a session id."""
+    """32-byte symmetric key for one session."""
 
     key: bytes
-    session_id: int
 
     def __post_init__(self):
         if len(self.key) != 32:
@@ -268,11 +267,11 @@ def shared_secret(group: DhGroup, prv: PrivateKey, other_pub: PublicKey) -> int:
     return modexp(v, prv.exponent, q)
 
 
-def session_key(intermediate: int, session_id: int) -> SessionKey:
+def session_key(intermediate: int) -> SessionKey:
     """SHA-256 of the 256-byte big-endian encoding of the shared element."""
     if intermediate < 2:
         raise KeyAgreementError(f"intermediate {intermediate} too small")
     if intermediate >= 1 << (8 * PUBLIC_KEY_BYTES):
         raise KeyAgreementError("intermediate exceeds the 2048-bit encoding width")
     key = hashlib.sha256(intermediate.to_bytes(PUBLIC_KEY_BYTES, "big")).digest()
-    return SessionKey(key, session_id)
+    return SessionKey(key)

@@ -176,7 +176,6 @@ class Channel:
 class PartyConfig:
     """Everything one enrolled party brings to a session."""
 
-    identity: Identity
     keypair: RsaKeyPair
     certificate: Certificate
     fingerprint: MinutiaeSet
@@ -219,13 +218,12 @@ def make_enrolled_party(
     uid_tag = int.from_bytes(hashlib.sha256(user_id.encode("utf-8")).digest()[:4], "big")
     ss = np.random.SeedSequence([seed, uid_tag])
     key_seed, fp_seed = (int(v) for v in ss.generate_state(2, np.uint64))
-    identity = Identity(user_id)
     keypair = RsaKeyPair.generate(key_seed)
-    certificate = registry.enroll(identity, keypair.public_der, now=now)
+    certificate = registry.enroll(Identity(user_id), keypair.public_der, now=now)
     fingerprint = synthesize_subject(
         _PARTY_MINUTIAE, SENSOR_WIDTH, SENSOR_HEIGHT, fp_seed, subject_id=user_id
     )
-    return PartyConfig(identity, keypair, certificate, fingerprint)
+    return PartyConfig(keypair, certificate, fingerprint)
 
 
 def run_session(
@@ -253,7 +251,7 @@ def run_session(
     ep_a, ep_b = (
         SessionEndpoint(
             party.certificate, party.fingerprint, ca_public_key, initiator=side == "a",
-            session_id=session_id, cfg=cfg, transform_key=TransformationKey.random(rng),
+            cfg=cfg, transform_key=TransformationKey.random(rng),
         )
         for side, party in (("a", a), ("b", b))
     )

@@ -104,7 +104,6 @@ def pair_session_key(
     mset_b: MinutiaeSet,
     tkey_b: TransformationKey,
     cfg: QuantizationConfig,
-    session_id: int = 0,
 ) -> SessionKey:
     """Run both sides of the exchange and return the agreed session key.
 
@@ -121,4 +120,4 @@ def pair_session_key(
     )
     if k_a != k_b:
         raise AssertionError("DH directions disagree")
-    return session_key(k_a, session_id)
+    return session_key(k_a)

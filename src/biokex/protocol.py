@@ -208,7 +208,6 @@ class SessionEndpoint:
         ca_public_key,
         *,
         initiator: bool,
-        session_id: int = 0,
         cfg: QuantizationConfig = QuantizationConfig(),
         transform_key: TransformationKey,
     ):
@@ -216,7 +215,6 @@ class SessionEndpoint:
         self.fingerprint: MinutiaeSet | None = fingerprint
         self.ca_public_key = ca_public_key
         self.initiator = initiator
-        self.session_id = session_id
         self.cfg = cfg
         self.transform_key: TransformationKey | None = transform_key
         self.state = HandshakeState()
@@ -294,7 +292,7 @@ class SessionEndpoint:
             self._abort(AbortReason.DEGENERATE_PUBLIC_KEY, str(exc))
         except KeyAgreementError as exc:
             self._abort(AbortReason.KEY_AGREEMENT, str(exc))
-        sk = session_key(intermediate, self.session_id)
+        sk = session_key(intermediate)
         self._private_key = None
         self._aead = AESGCM(sk.key)
         self.state.phase = Phase.ESTABLISHED

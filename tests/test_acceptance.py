@@ -201,7 +201,7 @@ def test_criterion_08_attack_suite():
         a, b = (
             SessionEndpoint(
                 party.certificate, party.fingerprint, registry.public_key,
-                initiator=party is alice, session_id=1, transform_key=TransformationKey(token),
+                initiator=party is alice, transform_key=TransformationKey(token),
             )
             for party, token in ((alice, b"alice-token-0805"), (bob, b"bob-token-000805"))
         )

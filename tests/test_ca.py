@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import pytest
 from cryptography.hazmat.primitives import serialization
@@ -8,13 +9,11 @@ from biokex.ca import (
     CaError,
     CaRegistry,
     Certificate,
-    DigestMismatchError,
     EnrollmentConflictError,
     Identity,
     MalformedCertificateError,
     RsaKeyPair,
     SignatureInvalidError,
-    certificate_digest,
     verify_certificate,
 )
 
@@ -128,19 +127,29 @@ def test_malformed_public_key_rejected(ca):
         ca.enroll(Identity("mallory"), b"not a DER key")
 
 
-def test_all_single_byte_digest_corruptions_rejected(ca, issued):
-    for i in range(32):
-        tampered = bytearray(issued.digest)
+def test_every_single_byte_corruption_rejected(ca, issued):
+    blob = issued.encode()
+    for i in range(len(blob)):
+        tampered = bytearray(blob)
         tampered[i] ^= 0x41
-        cert = Certificate(issued.identity, issued.user_public_der, bytes(tampered), issued.signature)
+        try:
+            cert = Certificate.decode(bytes(tampered))
+        except MalformedCertificateError:
+            continue
         with pytest.raises(CaError):
             verify_certificate(ca.public_key, cert)
 
 
-def test_identity_alteration_is_digest_mismatch(ca, issued):
-    forged = Certificate(Identity("alicia"), issued.user_public_der, issued.digest, issued.signature)
-    with pytest.raises(DigestMismatchError):
+def test_identity_alteration_is_signature_invalid(ca, issued):
+    forged = Certificate(Identity("alicia"), issued.user_public_der, issued.signature)
+    with pytest.raises(SignatureInvalidError):
         verify_certificate(ca.public_key, forged)
+
+
+def test_public_key_substitution_is_signature_invalid(ca, issued):
+    swapped = Certificate(issued.identity, RsaKeyPair.generate(223).public_der, issued.signature)
+    with pytest.raises(SignatureInvalidError):
+        verify_certificate(ca.public_key, swapped)
 
 
 def test_rogue_ca_signature_invalid(issued, user_keys):
@@ -154,7 +163,7 @@ def test_rogue_ca_signature_invalid(issued, user_keys):
 def test_resigned_digest_fails_under_real_ca(ca, issued):
     rogue = CaRegistry(RsaKeyPair.generate(334))
     resigned = rogue.enroll(Identity("alice"), issued.user_public_der)
-    cert = Certificate(issued.identity, issued.user_public_der, issued.digest, resigned.signature)
+    cert = Certificate(issued.identity, issued.user_public_der, resigned.signature)
     with pytest.raises(SignatureInvalidError):
         verify_certificate(ca.public_key, cert)
 
@@ -172,6 +181,13 @@ def test_truncated_certificate_malformed(issued):
             Certificate.decode(blob[:cut])
     with pytest.raises(MalformedCertificateError):
         Certificate.decode(blob + b"\x00")
+
+
+@pytest.mark.parametrize("length", [0, 63, 65, 128])
+def test_signature_not_64_bytes_is_malformed(issued, length):
+    signature = (issued.signature * 2)[:length]
+    with pytest.raises(MalformedCertificateError, match=f"signature is {length} bytes, not 64"):
+        Certificate.decode(issued.body() + signature)
 
 
 def test_single_bit_flips_break_verification(ca, issued, rng):
@@ -256,8 +272,12 @@ def test_identity_limits():
     Identity("x" * 64)
 
 
-def test_digest_definition(issued, user_keys):
-    assert issued.digest == certificate_digest(user_keys.public_der, Identity("alice"))
+def test_signature_verifies_over_body(ca, issued, user_keys):
+    der = user_keys.public_der
+    assert issued.body() == struct.pack(">H", 5) + b"alice" + struct.pack(">H", len(der)) + der
+    assert issued.encode() == issued.body() + issued.signature
+    assert len(issued.signature) == 64
+    ca.public_key.verify(issued.signature, issued.body())
 
 
 # SHA-256 of (public SubjectPublicKeyInfo DER, private PKCS#8 DER), pinned

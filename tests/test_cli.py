@@ -261,9 +261,10 @@ def test_keygen_missing_file_is_data_error(tmp_path):
 
 
 # SHA-256 of `ca-init --seed 5` then `enroll --user-id alice --seed 6
-# --time 1700000000`, pinned when seeded keys became Ed25519
+# --time 1700000000`, pinned when seeded keys became Ed25519; the
+# certificate re-pinned when the CA came to sign the certificate body
 ENROLL_SHA256 = {
-    "ca/alice.cert": "0a6eb5a7794d79a8d3f91b149025a939b02283bf81649c65de67727d4d038beb",
+    "ca/alice.cert": "b1d1f0607bec18d3cdb9ec467765b428a5ff789c295497b84432927526af3f1c",
     "ca/alice_key.pem": "2c51441e6a713510481b5d9d16ce3de36635d6e0915b8bd572a9fb208bc31e7e",
     "ca/registry.txt": "ad411108716391f5b0ed34b82ac11952a56ead450d4188c59020a593e0e99bae",
 }
@@ -384,9 +385,10 @@ def test_session_transcript_export(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     transcript = (tmp_path / "t.txt").read_bytes()
-    # pinned when certificates became Ed25519; only the certificate frames moved
+    # re-pinned when the CA came to sign the certificate body; only the
+    # certificate frames moved
     assert hashlib.sha256(transcript).hexdigest() == (
-        "d548ef6a77a6b6cd45e4ebc4607e738fec5d2d382ae4d2d31688537729651335"
+        "eb83b4c7b3979f182f3efcf075ed2c96ef306231e19946f44f64bf164d3b9e76"
     )
     lines = transcript.decode().splitlines()
     assert len(lines) >= 6  # two certs, two pubs, two data frames

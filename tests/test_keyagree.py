@@ -401,29 +401,29 @@ def test_zero_digest_guard(monkeypatch):
 
 
 def test_session_key_from_toy_exchange():
-    k1 = session_key(160, session_id=7)
-    k2 = session_key(160, session_id=7)
+    k1 = session_key(160)
+    k2 = session_key(160)
     assert k1 == k2
     assert len(k1.key) == 32
     assert k1.key == hashlib.sha256((160).to_bytes(256, "big")).digest()
 
 
 def test_session_key_avalanche_adjacent_intermediates():
-    a = np.frombuffer(session_key(160, 0).key, dtype=np.uint8)
-    b = np.frombuffer(session_key(161, 0).key, dtype=np.uint8)
+    a = np.frombuffer(session_key(160).key, dtype=np.uint8)
+    b = np.frombuffer(session_key(161).key, dtype=np.uint8)
     assert int(np.bitwise_count(np.bitwise_xor(a, b)).sum()) >= 96
 
 
 def test_session_key_guards():
     with pytest.raises(KeyAgreementError):
-        session_key(1, 0)
+        session_key(1)
     with pytest.raises(KeyAgreementError):
-        session_key(1 << 2048, 0)
+        session_key(1 << 2048)
 
 
 def test_session_key_shape():
     with pytest.raises(KeyAgreementError):
-        SessionKey(b"\x00" * 16, 0)
+        SessionKey(b"\x00" * 16)
 
 
 def test_public_key_wire_roundtrip(rng):
@@ -466,4 +466,4 @@ def test_pipeline_end_to_end_agreement(rng):
     ia = shared_secret(RFC3526_2048, prv_a, yb)
     ib = shared_secret(RFC3526_2048, prv_b, ya)
     assert ia == ib
-    assert session_key(ia, 5) == session_key(ib, 5)
+    assert session_key(ia) == session_key(ib)

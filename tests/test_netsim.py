@@ -165,12 +165,13 @@ def _failing_parties(request, alice, bob, case):
     return alice, dataclasses.replace(bob, fingerprint=stub), None
 
 
-# pinned when certificates became Ed25519; only the certificate frames moved.
-# A failure in the DH phase leaves the two certificate frames alone
-_CERTIFICATES_ONLY = "268eb0216b1035e41a83d9f8da35d4da84f8f1276db1a53df5d1a9849f984c51"
+# re-pinned when the CA came to sign the certificate body; only the
+# certificate frames moved. A failure in the DH phase leaves the two
+# certificate frames alone
+_CERTIFICATES_ONLY = "ed5fc3b1d03f52f34a315adf2bb1614c9c60bc5379684e4fff475d8ca308fc5b"
 FAILURE_TRANSCRIPT_SHA256 = {
-    "mitm": "b7e81d1a1fe6bea2308063d4b741af7f1388bf0782d695ddc05140be1d760438",
-    "responder_cert_swap": "68509755818139110c1067311ee894f30a40a9926d7db7e78b723f215d9c434d",
+    "mitm": "1ade10332c01a902c7170e800e7f94367f14141e2d84bccdee6cebc7dfc4b4e3",
+    "responder_cert_swap": "324e2410f98839cbfd22420e2630c633487bfc7dfb4f83f4b4194f5d0d7a38f7",
     "coincident_minutiae": _CERTIFICATES_ONLY,
     "responder_coincident_minutiae": _CERTIFICATES_ONLY,
     "both_abort": _CERTIFICATES_ONLY,

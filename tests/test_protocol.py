@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from biokex.ca import CaRegistry, Identity, RsaKeyPair
+from biokex.ca import CaRegistry, Certificate, Identity, RsaKeyPair
 from biokex.keyagree import RFC3526_2048
 from biokex.minutiae import MinutiaeSet, synthesize_subject
 from biokex.protocol import (
@@ -26,7 +26,7 @@ from biokex.protocol import (
 from biokex.transform import TransformationKey
 
 
-def _endpoint(ca_env, party, *, initiator, session_id=1, token=b"0123456789abcdef", **kw):
+def _endpoint(ca_env, party, *, initiator, token=b"0123456789abcdef", **kw):
     registry, alice, bob = ca_env
     p = {"alice": alice, "bob": bob}[party]
     return SessionEndpoint(
@@ -34,15 +34,14 @@ def _endpoint(ca_env, party, *, initiator, session_id=1, token=b"0123456789abcde
         p.fingerprint,
         registry.public_key,
         initiator=initiator,
-        session_id=session_id,
         transform_key=TransformationKey(token + party.encode()),
         **kw,
     )
 
 
-def _handshake(ca_env, session_id=1, tok_a=b"token-a-0123456", tok_b=b"token-b-0123456"):
-    a = _endpoint(ca_env, "alice", initiator=True, session_id=session_id, token=tok_a)
-    b = _endpoint(ca_env, "bob", initiator=False, session_id=session_id, token=tok_b)
+def _handshake(ca_env, tok_a=b"token-a-0123456", tok_b=b"token-b-0123456"):
+    a = _endpoint(ca_env, "alice", initiator=True, token=tok_a)
+    b = _endpoint(ca_env, "bob", initiator=False, token=tok_b)
     cert_a = a.initiate()
     cert_b = b.on_peer_certificate(cert_a)
     assert a.on_peer_certificate(cert_b) is None
@@ -124,6 +123,26 @@ def test_truncated_certificate_payload_aborts_malformed(ca_env):
     assert b.state.phase is Phase.FAILED
     assert b.state.abort_reason is AbortReason.MALFORMED_MESSAGE
     assert exc.value.frame.msg_type == MSG_ABORT
+
+
+@pytest.mark.parametrize("length", [63, 65])
+def test_certificate_with_wrong_signature_length_aborts_malformed(ca_env, length):
+    _, alice, _ = ca_env
+    cert = alice.certificate
+    b = _endpoint(ca_env, "bob", initiator=False)
+    with pytest.raises(HandshakeAborted) as exc:
+        b.on_peer_certificate(WireMessage(MSG_CERT, cert.body() + (cert.signature * 2)[:length]))
+    assert (exc.value.reason, b.state.phase) == (AbortReason.MALFORMED_MESSAGE, Phase.FAILED)
+
+
+def test_certificate_altered_after_signing_aborts_cert_verification(ca_env):
+    _, alice, _ = ca_env
+    cert = alice.certificate
+    forged = Certificate(Identity("alicf"), cert.user_public_der, cert.signature)
+    b = _endpoint(ca_env, "bob", initiator=False)
+    with pytest.raises(HandshakeAborted) as exc:
+        b.on_peer_certificate(WireMessage(MSG_CERT, forged.encode()))
+    assert (exc.value.reason, b.state.phase) == (AbortReason.CERT_VERIFICATION, Phase.FAILED)
 
 
 def test_wrong_handshake_frames_abort_malformed(ca_env):
@@ -244,16 +263,16 @@ def test_reflected_message_rejected(ca_env):
 
 
 def test_cross_session_ciphertext_fails_integrity(ca_env):
-    a1, b1, _, _ = _handshake(ca_env, session_id=1, tok_a=b"fresh-a-1-xxxxx", tok_b=b"fresh-b-1-xxxxx")
-    a2, b2, _, _ = _handshake(ca_env, session_id=2, tok_a=b"fresh-a-2-xxxxx", tok_b=b"fresh-b-2-xxxxx")
+    a1, b1, _, _ = _handshake(ca_env, tok_a=b"fresh-a-1-xxxxx", tok_b=b"fresh-b-1-xxxxx")
+    a2, b2, _, _ = _handshake(ca_env, tok_a=b"fresh-a-2-xxxxx", tok_b=b"fresh-b-2-xxxxx")
     sealed = a1.seal(b"bound to session one")
     with pytest.raises(IntegrityError):
         b2.open(sealed)
 
 
 def test_fresh_transform_keys_change_public_and_session_keys(ca_env):
-    a1, _, sk1, _ = _handshake(ca_env, session_id=1, tok_a=b"fresh-a-1-xxxxx", tok_b=b"fresh-b-1-xxxxx")
-    a2, _, sk2, _ = _handshake(ca_env, session_id=2, tok_a=b"fresh-a-2-xxxxx", tok_b=b"fresh-b-2-xxxxx")
+    a1, _, sk1, _ = _handshake(ca_env, tok_a=b"fresh-a-1-xxxxx", tok_b=b"fresh-b-1-xxxxx")
+    a2, _, sk2, _ = _handshake(ca_env, tok_a=b"fresh-a-2-xxxxx", tok_b=b"fresh-b-2-xxxxx")
     assert sk1.key != sk2.key
 
 
